@@ -72,25 +72,12 @@ std::string SnapshotName(uint64_t seq) {
 }  // namespace
 
 Status EncodeContainer(const std::vector<Chunk>& chunks, std::string* out) {
-  return EncodeContainer(std::string_view(kMagic, sizeof(kMagic)), chunks,
-                         out);
-}
-
-Status DecodeContainer(std::string_view data, std::vector<Chunk>* out) {
-  return DecodeContainer(std::string_view(kMagic, sizeof(kMagic)), data, out);
-}
-
-Status EncodeContainer(std::string_view magic,
-                       const std::vector<Chunk>& chunks, std::string* out) {
   if (out == nullptr) return Status::InvalidArgument("null output");
-  if (magic.size() != sizeof(kMagic)) {
-    return Status::InvalidArgument("container magic must be 8 bytes");
-  }
   if (chunks.size() > kMaxChunks) {
     return Status::InvalidArgument("too many chunks");
   }
   out->clear();
-  out->append(magic.data(), magic.size());
+  out->append(kMagic, sizeof(kMagic));
   AppendU32(out, kFormatVersion);
   AppendU32(out, static_cast<uint32_t>(chunks.size()));
   AppendU32(out, Crc32(out->data(), kHeaderSize));
@@ -112,18 +99,13 @@ Status EncodeContainer(std::string_view magic,
   return Status::OK();
 }
 
-Status DecodeContainer(std::string_view magic, std::string_view data,
-                       std::vector<Chunk>* out) {
+Status DecodeContainer(std::string_view data, std::vector<Chunk>* out) {
   if (out == nullptr) return Status::InvalidArgument("null output");
-  if (magic.size() != sizeof(kMagic)) {
-    return Status::InvalidArgument("container magic must be 8 bytes");
-  }
   size_t pos = 0;
   char file_magic[sizeof(kMagic)];
   if (!ReadRaw(data, &pos, file_magic, sizeof(file_magic)) ||
-      std::memcmp(file_magic, magic.data(), magic.size()) != 0) {
-    return Status::InvalidArgument(
-        "bad magic: not a KGAG '" + std::string(magic) + "' container");
+      std::memcmp(file_magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("bad magic: not a KGAG checkpoint");
   }
   uint32_t version = 0, chunk_count = 0, header_crc = 0;
   if (!ReadRaw(data, &pos, &version, sizeof(version)) ||
@@ -177,88 +159,6 @@ Status DecodeContainer(std::string_view magic, std::string_view data,
     return Status::InvalidArgument("trailing bytes after last chunk");
   }
   return Status::OK();
-}
-
-Status ContainerFileWriter::Open(const std::string& path,
-                                 std::string_view magic, uint32_t chunk_count,
-                                 const AtomicWriteOptions& options) {
-  if (magic.size() != sizeof(kMagic)) {
-    return Status::InvalidArgument("container magic must be 8 bytes");
-  }
-  if (chunk_count > kMaxChunks) {
-    return Status::InvalidArgument("too many chunks");
-  }
-  KGAG_RETURN_NOT_OK(file_.Open(path, options));
-  chunks_declared_ = chunk_count;
-  chunks_done_ = 0;
-  in_chunk_ = false;
-  // Header bytes exactly as EncodeContainer lays them down, CRC included.
-  std::string header;
-  header.append(magic.data(), magic.size());
-  AppendU32(&header, kFormatVersion);
-  AppendU32(&header, chunk_count);
-  AppendU32(&header, Crc32(header.data(), kHeaderSize));
-  return file_.Append(header);
-}
-
-Status ContainerFileWriter::BeginChunk(uint32_t tag, uint64_t payload_len) {
-  if (in_chunk_) return Status::InvalidArgument("chunk already open");
-  if (chunks_done_ >= chunks_declared_) {
-    return Status::InvalidArgument("more chunks than declared at Open");
-  }
-  if (payload_len > kMaxChunkLen) {
-    return Status::InvalidArgument("chunk payload too large");
-  }
-  std::string hdr;
-  AppendU32(&hdr, tag);
-  AppendU64(&hdr, payload_len);
-  // The chunk CRC covers tag + length + payload (see EncodeContainer).
-  chunk_crc_ = Crc32(hdr.data(), hdr.size());
-  chunk_remaining_ = payload_len;
-  in_chunk_ = true;
-  return file_.Append(hdr);
-}
-
-Status ContainerFileWriter::Append(const void* data, size_t len) {
-  if (!in_chunk_) return Status::InvalidArgument("no chunk open");
-  if (len > chunk_remaining_) {
-    Abandon();
-    return Status::InvalidArgument("chunk payload overruns declared length");
-  }
-  chunk_crc_ = Crc32(data, len, chunk_crc_);
-  chunk_remaining_ -= len;
-  return file_.Append(data, len);
-}
-
-Status ContainerFileWriter::EndChunk() {
-  if (!in_chunk_) return Status::InvalidArgument("no chunk open");
-  if (chunk_remaining_ != 0) {
-    Abandon();
-    return Status::InvalidArgument("chunk payload shorter than declared");
-  }
-  in_chunk_ = false;
-  ++chunks_done_;
-  std::string crc;
-  AppendU32(&crc, chunk_crc_);
-  return file_.Append(crc);
-}
-
-Status ContainerFileWriter::AddChunk(uint32_t tag, std::string_view payload) {
-  KGAG_RETURN_NOT_OK(BeginChunk(tag, payload.size()));
-  KGAG_RETURN_NOT_OK(Append(payload));
-  return EndChunk();
-}
-
-Status ContainerFileWriter::Finish() {
-  if (in_chunk_) {
-    Abandon();
-    return Status::InvalidArgument("Finish with a chunk still open");
-  }
-  if (chunks_done_ != chunks_declared_) {
-    Abandon();
-    return Status::InvalidArgument("fewer chunks written than declared");
-  }
-  return file_.Finish();
 }
 
 Status EncodeTrainingState(const TrainingState& state, std::string* out) {

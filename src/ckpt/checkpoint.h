@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/file_io.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -69,70 +68,6 @@ Status EncodeContainer(const std::vector<Chunk>& chunks, std::string* out);
 /// header CRC, truncated chunk, payload CRC mismatch) returns a non-OK
 /// Status and leaves `out` unspecified.
 Status DecodeContainer(std::string_view data, std::vector<Chunk>* out);
-
-/// Same container format under a caller-chosen 8-byte magic, so other
-/// file kinds (e.g. the serving artifact, magic "KGAGSRV1") reuse the
-/// chunk framing, CRC discipline and allocation bounds without being
-/// mistakable for a training checkpoint. `magic` must be exactly 8 bytes.
-Status EncodeContainer(std::string_view magic,
-                       const std::vector<Chunk>& chunks, std::string* out);
-Status DecodeContainer(std::string_view magic, std::string_view data,
-                       std::vector<Chunk>* out);
-
-/// \brief Streams a chunked container straight to disk — byte-identical
-/// to EncodeContainer + AtomicWriteFile, but with O(chunk-buffer) memory:
-/// each chunk's payload is appended in pieces while a rolling CRC
-/// accumulates, so a multi-gigabyte artifact never has to exist as one
-/// encoded string. The chunk count is part of the CRC-protected header,
-/// so it must be declared at Open time.
-///
-///   ContainerFileWriter w;
-///   w.Open(path, magic, /*chunk_count=*/3);
-///   w.BeginChunk(kTagFoo, payload_len);
-///   w.Append(piece1); w.Append(piece2);   // exactly payload_len bytes
-///   w.EndChunk();
-///   ... remaining chunks ...
-///   w.Finish();   // fsync + atomic rename, as AtomicWriteFile does
-///
-/// Any error abandons the temp file; the destination is never replaced
-/// with a partial container.
-class ContainerFileWriter {
- public:
-  /// Opens the temp file and writes the container header. `magic` must be
-  /// exactly 8 bytes (defaults to the training-checkpoint magic).
-  Status Open(const std::string& path, std::string_view magic,
-              uint32_t chunk_count, const AtomicWriteOptions& options = {});
-
-  /// Starts a chunk whose payload is exactly `payload_len` bytes.
-  Status BeginChunk(uint32_t tag, uint64_t payload_len);
-  /// Appends payload bytes to the open chunk.
-  Status Append(const void* data, size_t len);
-  Status Append(std::string_view data) {
-    return Append(data.data(), data.size());
-  }
-  /// Closes the chunk: verifies the declared length was written and emits
-  /// the chunk CRC.
-  Status EndChunk();
-  /// BeginChunk + Append + EndChunk for an already-materialized payload.
-  Status AddChunk(uint32_t tag, std::string_view payload);
-
-  /// Verifies all declared chunks were written, then fsyncs and renames
-  /// the temp file over the destination.
-  Status Finish();
-  /// Drops the temp file without touching the destination.
-  void Abandon() { file_.Abandon(); }
-
-  /// Bytes written so far (header + finished chunks + open-chunk bytes).
-  uint64_t bytes_written() const { return file_.position(); }
-
- private:
-  AtomicFileWriter file_;
-  uint32_t chunks_declared_ = 0;
-  uint32_t chunks_done_ = 0;
-  bool in_chunk_ = false;
-  uint64_t chunk_remaining_ = 0;
-  uint32_t chunk_crc_ = 0;
-};
 
 /// \brief Full training state of one run, as opaque sub-blobs produced by
 /// the owning components (SaveParameters, Optimizer/Batcher/Rng/selector

@@ -115,9 +115,7 @@ Result<RefreshReport> OnlineTrainer::Refresh() {
   }
   if (!options_.artifact_path.empty()) {
     KGAG_RETURN_NOT_OK(
-        options_.mmap_layout
-            ? serve::SaveFrozenModelV2(frozen, options_.artifact_path)
-            : serve::SaveFrozenModel(frozen, options_.artifact_path));
+        serve::SaveFrozenModelV2(frozen, options_.artifact_path));
     report.artifact_path = options_.artifact_path;
   }
   report.freeze_micros = freeze_watch.ElapsedMicros();

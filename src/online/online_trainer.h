@@ -71,7 +71,9 @@ class OnlineTrainer {
     int micro_epochs = 1;
     /// Rep-table precision of published artifacts.
     QuantType precision = QuantType::kFp64;
-    /// Publish KGAGSRV2 (mmap) instead of KGAGSRV1.
+    /// Selects nothing: every refresh publishes KGAGSRV2, the only
+    /// serving format. Kept only so existing callers that assign it
+    /// still compile; it will be removed.
     bool mmap_layout = false;
     /// Save a checkpoint after each refresh (needs checkpoint_dir).
     bool save_checkpoints = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include "common/crc32.h"
 
@@ -43,6 +44,29 @@ Status FormatError(const std::string& what) {
 
 bool ValidDtype(uint8_t dtype) {
   return dtype <= static_cast<uint8_t>(QuantType::kInt8);
+}
+
+/// rows * cols * element size of `dtype` into `*nbytes`; false when the
+/// product does not fit in 64 bits (a hostile index can declare any
+/// shape, and a wrapped product must never pass as a small blob).
+bool ShapeBytes(uint8_t dtype, uint64_t rows, uint64_t cols,
+                uint64_t* nbytes) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const uint64_t elem = QuantElemBytes(static_cast<QuantType>(dtype));
+  if (cols != 0 && rows > kMax / cols) return false;
+  if (rows * cols > kMax / elem) return false;
+  *nbytes = rows * cols * elem;
+  return true;
+}
+
+/// An empty or truncated-before-the-header file: say exactly that, and
+/// which file, so a watcher that hits a just-created empty file gets a
+/// clear diagnosis instead of a bare parse failure.
+Status TooShort(const std::string& path, uint64_t size) {
+  return Status::InvalidArgument(
+      "artifact " + path + " is too short to be a KGAGSRV2 artifact (" +
+      std::to_string(size) + " of " + std::to_string(HeaderBytes(0)) +
+      " fixed header bytes)");
 }
 
 template <typename T>
@@ -106,8 +130,9 @@ Status PlanLayout(const std::vector<BlobSpec>& blobs,
     e.dtype = s.dtype;
     e.rows = s.rows;
     e.cols = s.cols;
-    e.nbytes =
-        s.rows * s.cols * QuantElemBytes(static_cast<QuantType>(s.dtype));
+    if (!ShapeBytes(s.dtype, s.rows, s.cols, &e.nbytes)) {
+      return FormatError("blob shape overflows 64 bits");
+    }
     e.offset = off;
     off = AlignUp(off + e.nbytes, kArtifactV2Align);
     entries->push_back(e);
@@ -220,6 +245,11 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
     const std::string& path, const Options& options) {
   std::shared_ptr<MappedArtifact> m(new MappedArtifact());
   m->path_ = path;
+  // Every rejection names the file: a watcher reloading many artifacts
+  // must be able to tell which one is broken.
+  auto bad = [&path](const std::string& what) {
+    return FormatError(what + " (" + path + ")");
+  };
 #if KGAG_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -234,7 +264,7 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
   m->size_ = static_cast<uint64_t>(st.st_size);
   if (m->size_ < HeaderBytes(0)) {
     ::close(fd);
-    return FormatError("file shorter than the fixed header");
+    return TooShort(path, m->size_);
   }
   void* base = ::mmap(nullptr, m->size_, PROT_READ, MAP_SHARED, fd, 0);
   ::close(fd);  // the mapping keeps the file alive
@@ -250,9 +280,7 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
   m->base_ = m->owned_.data();
   m->size_ = m->owned_.size();
   m->is_mmap_ = false;
-  if (m->size_ < HeaderBytes(0)) {
-    return FormatError("file shorter than the fixed header");
-  }
+  if (m->size_ < HeaderBytes(0)) return TooShort(path, m->size_);
 #endif
 
   // --- header ---
@@ -260,7 +288,7 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
   char magic[8];
   if (!ReadRaw(m->base_, m->size_, &pos, magic, sizeof(magic)) ||
       std::memcmp(magic, kArtifactV2Magic.data(), 8) != 0) {
-    return FormatError("bad magic (not a KGAGSRV2 file)");
+    return bad("bad magic (not a KGAGSRV2 file)");
   }
   uint32_t version = 0;
   ArtifactV2Meta meta;
@@ -276,17 +304,17 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
       !ReadRaw(m->base_, m->size_, &pos, &meta.quant_type, 1) ||
       !ReadRaw(m->base_, m->size_, &pos, &meta.quant_block, 4) ||
       !ReadRaw(m->base_, m->size_, &pos, &blob_count, 4)) {
-    return FormatError("truncated header");
+    return bad("truncated header");
   }
   if (version != kArtifactV2Version) {
-    return FormatError("unsupported version " + std::to_string(version));
+    return bad("unsupported version " + std::to_string(version));
   }
   meta.use_sp = use_sp != 0;
   meta.use_pi = use_pi != 0;
-  if (blob_count > kMaxBlobs) return FormatError("blob count out of range");
+  if (blob_count > kMaxBlobs) return bad("blob count out of range");
   const size_t header_bytes = HeaderBytes(blob_count);
   if (m->size_ < header_bytes) {
-    return FormatError("file shorter than header + blob index");
+    return bad("file shorter than header + blob index");
   }
 
   // --- index + header CRC (always verified: a flipped bit in any offset
@@ -304,10 +332,10 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
   const uint32_t computed = Crc32(m->base_, pos);
   uint32_t header_crc = 0;
   if (!ReadRaw(m->base_, m->size_, &pos, &header_crc, 4)) {
-    return FormatError("truncated header checksum");
+    return bad("truncated header checksum");
   }
   if (computed != header_crc) {
-    return FormatError("header checksum mismatch");
+    return bad("header checksum mismatch");
   }
 
   // --- blob bounds ---
@@ -315,20 +343,21 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
   for (size_t i = 0; i < blobs.size(); ++i) {
     const BlobEntry& e = blobs[i];
     if (!ValidDtype(e.dtype)) {
-      return FormatError("unknown blob dtype at index " + std::to_string(i));
+      return bad("unknown blob dtype at index " + std::to_string(i));
     }
-    if (e.nbytes !=
-        e.rows * e.cols * QuantElemBytes(static_cast<QuantType>(e.dtype))) {
-      return FormatError("blob size does not match its shape at index " +
+    uint64_t shape_bytes = 0;
+    if (!ShapeBytes(e.dtype, e.rows, e.cols, &shape_bytes) ||
+        e.nbytes != shape_bytes) {
+      return bad("blob size does not match its shape at index " +
                          std::to_string(i));
     }
     if (e.offset % kArtifactV2Align != 0) {
-      return FormatError("misaligned blob offset at index " +
+      return bad("misaligned blob offset at index " +
                          std::to_string(i));
     }
     if (e.offset < data_start || e.offset > m->size_ ||
         e.nbytes > m->size_ - e.offset) {
-      return FormatError("blob out of file bounds at index " +
+      return bad("blob out of file bounds at index " +
                          std::to_string(i));
     }
   }
@@ -339,7 +368,7 @@ Result<std::shared_ptr<MappedArtifact>> MappedArtifact::Map(
             });
   for (size_t i = 1; i < sorted.size(); ++i) {
     if (sorted[i].offset < sorted[i - 1].offset + sorted[i - 1].nbytes) {
-      return FormatError("overlapping blobs");
+      return bad("overlapping blobs");
     }
   }
 

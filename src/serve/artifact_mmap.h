@@ -1,21 +1,21 @@
-// Zero-copy serving artifact (KGAGSRV2, DESIGN.md §14).
+// Zero-copy serving artifact (KGAGSRV2, DESIGN.md §14) — the one format
+// every frozen model is saved in and served from.
 //
-// The v1 container (frozen_model.h) is a chunk stream: loading it means
-// reading the whole file and decoding every payload into heap — fine at
-// toy scale, minutes of wasted startup and a duplicated resident copy at
-// a million entities. KGAGSRV2 borrows the gguf/ggml idiom instead: a
-// small self-describing header + blob index up front, then each tensor's
-// raw little-endian bytes at a 64-byte-aligned offset. A server mmap()s
-// the file, validates the header, and hands pointers INTO THE MAPPING
+// A chunk stream that has to be read and decoded into heap would cost
+// minutes of startup and a duplicated resident copy at a million
+// entities. KGAGSRV2 borrows the gguf/ggml idiom instead: a small
+// self-describing header + blob index up front, then each tensor's raw
+// little-endian bytes at a 64-byte-aligned offset. A server mmap()s the
+// file, validates the header, and hands pointers INTO THE MAPPING
 // straight to the scoring kernels:
 //
 //   * startup is O(header): no decode, no copy, time-to-first-query is
 //     dominated by faulting in the few pages a query touches;
 //   * the page cache backs every process mapping the same artifact, so
 //     N servers on one box share one resident copy;
-//   * the blob bytes are exactly what the v1 decoder would have produced
-//     in heap (same codes, same scales, same doubles), which is why the
-//     mmap path scores bit-identically to the heap path.
+//   * the blob bytes are exactly the codes, scales and doubles of the
+//     in-memory model that was saved, which is why the mapped model
+//     scores bit-identically to it.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -71,8 +71,7 @@ inline constexpr uint32_t kBlobAttnW2 = ckpt::MakeTag('A', 'T', 'W', '2');
 inline constexpr uint32_t kBlobAttnBias = ckpt::MakeTag('A', 'T', 'T', 'B');
 inline constexpr uint32_t kBlobAttnVc = ckpt::MakeTag('A', 'T', 'V', 'C');
 
-/// \brief The fixed model description in the v2 header — the same fields
-/// the v1 SMTA + QNTM chunks carry.
+/// \brief The fixed model description in the v2 header.
 struct ArtifactV2Meta {
   uint32_t dim = 0;
   uint32_t group_size = 0;
@@ -180,7 +179,9 @@ class MappedArtifact {
 
   /// Maps and validates `path`. Rejects: short files, bad magic/version,
   /// header CRC mismatch, out-of-bounds or misaligned or overlapping blob
-  /// offsets, and blob sizes inconsistent with their declared shapes.
+  /// offsets, and blob sizes inconsistent with their declared shapes
+  /// (including shapes whose byte size overflows 64 bits). Every error
+  /// names the file.
   static Result<std::shared_ptr<MappedArtifact>> Map(
       const std::string& path, const Options& options = {});
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "serve/artifact_mmap.h"
-#include "serve/frozen_model.h"
 #include "tensor/tensor.h"
 
 namespace kgag {
@@ -126,159 +124,6 @@ Status FreezeBigWorldV2(const BigWorldGen& gen,
                                attn.bias.size() * sizeof(double)));
   KGAG_RETURN_NOT_OK(
       w.AddBlob(kBlobAttnVc, attn.vc.data(), attn.vc.size() * sizeof(double)));
-  return w.Finish();
-}
-
-namespace {
-
-/// v1 WriteTensor record header (u64 rows | u64 cols) into an open chunk.
-Status AppendTensorHeader(ckpt::ContainerFileWriter* w, uint64_t rows,
-                          uint64_t cols) {
-  KGAG_RETURN_NOT_OK(w->Append(&rows, sizeof(rows)));
-  return w->Append(&cols, sizeof(cols));
-}
-
-Status AppendTensorRecord(ckpt::ContainerFileWriter* w, const Tensor& t) {
-  KGAG_RETURN_NOT_OK(AppendTensorHeader(w, t.rows(), t.cols()));
-  return w->Append(t.data(), t.size() * sizeof(double));
-}
-
-uint64_t TensorRecordBytes(const Tensor& t) {
-  return 2 * sizeof(uint64_t) + t.size() * sizeof(double);
-}
-
-/// Streams one rep table as a v1 chunk. fp64 tables stream the raw
-/// doubles after the WriteTensor header. Quantized tables follow the
-/// WriteQuantizedMatrix record — scales precede codes, so int8 runs one
-/// extra generation pass to learn the scales before the codes stream.
-Status StreamTableV1(ckpt::ContainerFileWriter* w, const BigWorldGen& gen,
-                     RowFiller fill, uint64_t rows, uint32_t tag,
-                     const BigWorldFreezeOptions& opt) {
-  const uint64_t d = gen.spec().dim;
-  const QuantType q = opt.quant;
-  const uint32_t block = q == QuantType::kInt8 ? opt.quant_block : 0;
-  const size_t spr = QuantScalesPerRow(q, d, block);
-  const uint64_t chunk = std::max<uint64_t>(1, opt.chunk_rows);
-  std::vector<double> raw(chunk * d);
-
-  if (q == QuantType::kFp64) {
-    KGAG_RETURN_NOT_OK(
-        w->BeginChunk(tag, 2 * sizeof(uint64_t) + rows * d * sizeof(double)));
-    KGAG_RETURN_NOT_OK(AppendTensorHeader(w, rows, d));
-    for (uint64_t start = 0; start < rows; start += chunk) {
-      const uint64_t n = std::min(chunk, rows - start);
-      (gen.*fill)(start, n, raw.data());
-      KGAG_RETURN_NOT_OK(w->Append(raw.data(), n * d * sizeof(double)));
-    }
-    return w->EndChunk();
-  }
-
-  const uint64_t nbytes = rows * d * QuantElemBytes(q);
-  const uint64_t nscales = rows * spr;
-  std::vector<uint8_t> codes(chunk * d * QuantElemBytes(q));
-  std::vector<float> chunk_scales(chunk * spr);
-
-  std::vector<float> scales;
-  if (spr != 0) {
-    // Pass 1: quantize every chunk just for its scales (codes discarded).
-    scales.reserve(nscales);
-    for (uint64_t start = 0; start < rows; start += chunk) {
-      const uint64_t n = std::min(chunk, rows - start);
-      (gen.*fill)(start, n, raw.data());
-      QuantizeRows(q, block, n, d, raw.data(), codes.data(),
-                   chunk_scales.data());
-      scales.insert(scales.end(), chunk_scales.begin(),
-                    chunk_scales.begin() + n * spr);
-    }
-  }
-
-  // WriteQuantizedMatrix layout: u8 type | u64 rows | u64 cols | u32
-  // block | u64 nscales + scales | u64 nbytes + codes.
-  const uint64_t payload = 1 + 2 * sizeof(uint64_t) + sizeof(uint32_t) +
-                           sizeof(uint64_t) + nscales * sizeof(float) +
-                           sizeof(uint64_t) + nbytes;
-  KGAG_RETURN_NOT_OK(w->BeginChunk(tag, payload));
-  const uint8_t type = static_cast<uint8_t>(q);
-  KGAG_RETURN_NOT_OK(w->Append(&type, sizeof(type)));
-  KGAG_RETURN_NOT_OK(w->Append(&rows, sizeof(rows)));
-  const uint64_t cols = d;
-  KGAG_RETURN_NOT_OK(w->Append(&cols, sizeof(cols)));
-  KGAG_RETURN_NOT_OK(w->Append(&block, sizeof(block)));
-  KGAG_RETURN_NOT_OK(w->Append(&nscales, sizeof(nscales)));
-  KGAG_RETURN_NOT_OK(w->Append(scales.data(), scales.size() * sizeof(float)));
-  KGAG_RETURN_NOT_OK(w->Append(&nbytes, sizeof(nbytes)));
-  for (uint64_t start = 0; start < rows; start += chunk) {  // pass 2: codes
-    const uint64_t n = std::min(chunk, rows - start);
-    (gen.*fill)(start, n, raw.data());
-    QuantizeRows(q, block, n, d, raw.data(), codes.data(),
-                 chunk_scales.data());
-    KGAG_RETURN_NOT_OK(w->Append(codes.data(), n * d * QuantElemBytes(q)));
-  }
-  return w->EndChunk();
-}
-
-}  // namespace
-
-Status FreezeBigWorldV1(const BigWorldGen& gen,
-                        const BigWorldFreezeOptions& options,
-                        const std::string& path) {
-  const BigWorldSpec& spec = gen.spec();
-  const BigWorldAttention attn = MakeAttention(gen);
-  const bool fp64 = options.quant == QuantType::kFp64;
-  const uint32_t kTagMeta = ckpt::MakeTag('S', 'M', 'T', 'A');
-  const uint32_t kTagUserEmb = ckpt::MakeTag('U', 'E', 'M', 'B');
-  const uint32_t kTagItemEmb = ckpt::MakeTag('I', 'E', 'M', 'B');
-  const uint32_t kTagAttention = ckpt::MakeTag('A', 'T', 'T', 'N');
-  const uint32_t kTagQuantMeta = ckpt::MakeTag('Q', 'N', 'T', 'M');
-  const uint32_t kTagQuantUser = ckpt::MakeTag('Q', 'U', 'S', 'R');
-  const uint32_t kTagQuantItem = ckpt::MakeTag('Q', 'I', 'T', 'M');
-
-  ckpt::ContainerFileWriter w;
-  KGAG_RETURN_NOT_OK(
-      w.Open(path, kArtifactMagic, /*chunk_count=*/fp64 ? 4 : 5));
-  {
-    // SMTA payload, field for field what EncodeFrozenModel writes.
-    std::string meta;
-    const uint32_t dim = spec.dim, gs = spec.group_size;
-    const uint32_t nu = static_cast<uint32_t>(spec.num_users);
-    const uint32_t ni = static_cast<uint32_t>(spec.num_items);
-    const uint8_t on = 1;
-    meta.append(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    meta.append(reinterpret_cast<const char*>(&gs), sizeof(gs));
-    meta.append(reinterpret_cast<const char*>(&on), 1);  // use_sp
-    meta.append(reinterpret_cast<const char*>(&on), 1);  // use_pi
-    meta.append(reinterpret_cast<const char*>(&nu), sizeof(nu));
-    meta.append(reinterpret_cast<const char*>(&ni), sizeof(ni));
-    KGAG_RETURN_NOT_OK(w.AddChunk(kTagMeta, meta));
-  }
-  if (!fp64) {
-    std::string qm;
-    const uint8_t type = static_cast<uint8_t>(options.quant);
-    const uint32_t block =
-        options.quant == QuantType::kInt8 ? options.quant_block : 0;
-    qm.append(reinterpret_cast<const char*>(&type), 1);
-    qm.append(reinterpret_cast<const char*>(&block), sizeof(block));
-    KGAG_RETURN_NOT_OK(w.AddChunk(kTagQuantMeta, qm));
-  }
-  KGAG_RETURN_NOT_OK(StreamTableV1(&w, gen, &BigWorldGen::UserRows,
-                                   spec.num_users,
-                                   fp64 ? kTagUserEmb : kTagQuantUser,
-                                   options));
-  KGAG_RETURN_NOT_OK(StreamTableV1(&w, gen, &BigWorldGen::ItemRows,
-                                   spec.num_items,
-                                   fp64 ? kTagItemEmb : kTagQuantItem,
-                                   options));
-  {
-    const uint64_t attn_len =
-        TensorRecordBytes(attn.w1) + TensorRecordBytes(attn.w2) +
-        TensorRecordBytes(attn.bias) + TensorRecordBytes(attn.vc);
-    KGAG_RETURN_NOT_OK(w.BeginChunk(kTagAttention, attn_len));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, attn.w1));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, attn.w2));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, attn.bias));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, attn.vc));
-    KGAG_RETURN_NOT_OK(w.EndChunk());
-  }
   return w.Finish();
 }
 

@@ -2,17 +2,14 @@
 //
 // At 1M+ users a rep table is hundreds of megabytes, so "generate the
 // world, then freeze it" must never hold either the world or the encoded
-// artifact in memory. These helpers pump BigWorldGen's chunk-invariant
-// row API straight into the artifact writers a fixed-size row chunk at a
-// time: generation, quantization (QuantizeRows is row-local, so chunked
+// artifact in memory. FreezeBigWorldV2 pumps BigWorldGen's
+// chunk-invariant row API straight into ArtifactV2Writer a fixed-size row
+// chunk at a time: generation, quantization (QuantizeRows is row-local, so chunked
 // codes are bit-identical to whole-matrix quantization) and encoding all
 // run in O(chunk_rows * dim) memory regardless of world size.
 //
-// Both layouts are supported so the startup benchmark can compare them
-// on the SAME model: FreezeBigWorldV2 writes the mmap layout (the
-// serving default), FreezeBigWorldV1 the legacy heap-decoded container.
-// The two artifacts hold byte-identical rep codes, which is what makes
-// the bench's v1-vs-v2 score equality check meaningful.
+// The output is a KGAGSRV2 artifact, the one serving format, so a
+// streamed world loads through LoadFrozenModelMmap like any frozen model.
 #ifndef KGAG_SERVE_BIGWORLD_FREEZE_H_
 #define KGAG_SERVE_BIGWORLD_FREEZE_H_
 
@@ -39,13 +36,6 @@ struct BigWorldFreezeOptions {
 /// (atomic write). O(chunk) memory plus the int8 scale accumulator
 /// (4 bytes per row-block — ~4 MB at 1M users).
 Status FreezeBigWorldV2(const synthetic::BigWorldGen& gen,
-                        const BigWorldFreezeOptions& options,
-                        const std::string& path);
-
-/// Streams the same model as a legacy KGAGSRV1 container. Quantized int8
-/// worlds take two generation passes (the v1 record puts scales before
-/// codes); determinism makes the passes agree exactly.
-Status FreezeBigWorldV1(const synthetic::BigWorldGen& gen,
                         const BigWorldFreezeOptions& options,
                         const std::string& path);
 

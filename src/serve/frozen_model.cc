@@ -1,29 +1,16 @@
 #include "serve/frozen_model.h"
 
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
-#include "common/binary_io.h"
-#include "common/file_io.h"
 #include "models/kgag_model.h"
-#include "tensor/serialization.h"
 
 namespace kgag {
 namespace serve {
 
 namespace {
-
-constexpr uint32_t kTagMeta = ckpt::MakeTag('S', 'M', 'T', 'A');
-constexpr uint32_t kTagUserEmb = ckpt::MakeTag('U', 'E', 'M', 'B');
-constexpr uint32_t kTagItemEmb = ckpt::MakeTag('I', 'E', 'M', 'B');
-constexpr uint32_t kTagAttention = ckpt::MakeTag('A', 'T', 'T', 'N');
-constexpr uint32_t kTagQuantMeta = ckpt::MakeTag('Q', 'N', 'T', 'M');
-constexpr uint32_t kTagQuantUser = ckpt::MakeTag('Q', 'U', 'S', 'R');
-constexpr uint32_t kTagQuantItem = ckpt::MakeTag('Q', 'I', 'T', 'M');
 
 /// Finds a parameter's tensor by name, or an empty tensor when the model
 /// was built without it (ablations create no attention parameters).
@@ -79,8 +66,8 @@ Status ValidateMappedView(const RepView& v, const FrozenModel& m, size_t rows,
   return Status::OK();
 }
 
-/// Meta-driven shape validation shared by decode (hostile bytes) and
-/// encode (programming errors surface before a broken file is written).
+/// Meta-driven shape validation shared by the loader (hostile bytes) and
+/// the writer (programming errors surface before a broken file is written).
 Status ValidateShapes(const FrozenModel& m) {
   if (m.dim <= 0) return ShapeError("non-positive dim");
   if (m.group_size <= 0) return ShapeError("non-positive group size");
@@ -171,8 +158,7 @@ std::string ArtifactStatusJson(const FrozenModel& model) {
   if (model.quant == QuantType::kInt8) {
     os << ",\"quant_block\":" << model.quant_block;
   }
-  os << ",\"layout\":\"" << (model.is_mapped() ? "mmap" : "heap") << "\""
-     << ",\"layout_version\":" << (model.is_mapped() ? 2 : 1);
+  os << ",\"layout\":\"" << (model.is_mapped() ? "mmap" : "heap") << "\"";
   if (model.is_mapped()) {
     os << ",\"mapped_bytes\":" << model.mapping->mapped_bytes()
        << ",\"resident_bytes\":" << model.mapping->ResidentBytes();
@@ -186,8 +172,8 @@ Result<FrozenModel> QuantizeFrozenModel(const FrozenModel& model,
   KGAG_RETURN_NOT_OK(ValidateShapes(model));
   if (model.is_mapped()) {
     return Status::InvalidArgument(
-        "frozen model: cannot quantize an mmap-backed model; re-freeze or "
-        "convert via the heap loader first");
+        "frozen model: cannot quantize an mmap-backed model; quantize the "
+        "in-memory model before saving it");
   }
   if (model.quant != QuantType::kFp64) {
     return Status::InvalidArgument(
@@ -235,251 +221,6 @@ Result<FrozenModel> FreezeKgagModel(KgagModel* model) {
 
   KGAG_RETURN_NOT_OK(ValidateShapes(out));
   return out;
-}
-
-Status EncodeFrozenModel(const FrozenModel& model, std::string* out) {
-  if (out == nullptr) return Status::InvalidArgument("null output");
-  if (model.is_mapped()) {
-    return Status::InvalidArgument(
-        "frozen model: mmap-backed models re-save as KGAGSRV2 "
-        "(SaveFrozenModelV2), not as a v1 container");
-  }
-  KGAG_RETURN_NOT_OK(ValidateShapes(model));
-
-  std::vector<ckpt::Chunk> chunks;
-  {
-    std::ostringstream meta(std::ios::binary);
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.dim));
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.group_size));
-    bio::WriteU8(&meta, model.use_sp ? 1 : 0);
-    bio::WriteU8(&meta, model.use_pi ? 1 : 0);
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.num_users));
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.num_items));
-    chunks.push_back(ckpt::Chunk{kTagMeta, meta.str()});
-  }
-  if (model.quant == QuantType::kFp64) {
-    // Byte-identical to the pre-quantization format: no QNTM chunk, so
-    // artifacts written before this extension existed re-encode exactly.
-    std::ostringstream uemb(std::ios::binary);
-    KGAG_RETURN_NOT_OK(WriteTensor(&uemb, model.user_emb));
-    chunks.push_back(ckpt::Chunk{kTagUserEmb, uemb.str()});
-    std::ostringstream iemb(std::ios::binary);
-    KGAG_RETURN_NOT_OK(WriteTensor(&iemb, model.item_emb));
-    chunks.push_back(ckpt::Chunk{kTagItemEmb, iemb.str()});
-  } else {
-    std::ostringstream qm(std::ios::binary);
-    bio::WriteU8(&qm, static_cast<uint8_t>(model.quant));
-    bio::WriteU32(&qm, model.quant_block);
-    chunks.push_back(ckpt::Chunk{kTagQuantMeta, qm.str()});
-    std::ostringstream qu(std::ios::binary);
-    KGAG_RETURN_NOT_OK(WriteQuantizedMatrix(&qu, model.q_user));
-    chunks.push_back(ckpt::Chunk{kTagQuantUser, qu.str()});
-    std::ostringstream qi(std::ios::binary);
-    KGAG_RETURN_NOT_OK(WriteQuantizedMatrix(&qi, model.q_item));
-    chunks.push_back(ckpt::Chunk{kTagQuantItem, qi.str()});
-  }
-  {
-    std::ostringstream attn(std::ios::binary);
-    KGAG_RETURN_NOT_OK(WriteTensor(&attn, model.w1));
-    KGAG_RETURN_NOT_OK(WriteTensor(&attn, model.w2));
-    KGAG_RETURN_NOT_OK(WriteTensor(&attn, model.bias));
-    KGAG_RETURN_NOT_OK(WriteTensor(&attn, model.vc));
-    chunks.push_back(ckpt::Chunk{kTagAttention, attn.str()});
-  }
-  return ckpt::EncodeContainer(kArtifactMagic, chunks, out);
-}
-
-Result<FrozenModel> DecodeFrozenModel(std::string_view data) {
-  std::vector<ckpt::Chunk> chunks;
-  KGAG_RETURN_NOT_OK(ckpt::DecodeContainer(kArtifactMagic, data, &chunks));
-
-  FrozenModel out;
-  bool have_meta = false, have_users = false, have_items = false,
-       have_attn = false, have_qmeta = false, have_quser = false,
-       have_qitem = false;
-  for (const ckpt::Chunk& c : chunks) {
-    std::istringstream in(c.payload, std::ios::binary);
-    if (c.tag == kTagMeta) {
-      uint32_t dim = 0, group_size = 0, num_users = 0, num_items = 0;
-      uint8_t use_sp = 0, use_pi = 0;
-      if (!bio::ReadU32(&in, &dim) || !bio::ReadU32(&in, &group_size) ||
-          !bio::ReadU8(&in, &use_sp) || !bio::ReadU8(&in, &use_pi) ||
-          !bio::ReadU32(&in, &num_users) || !bio::ReadU32(&in, &num_items)) {
-        return Status::InvalidArgument("frozen model: truncated meta chunk");
-      }
-      out.dim = static_cast<int>(dim);
-      out.group_size = static_cast<int>(group_size);
-      out.use_sp = use_sp != 0;
-      out.use_pi = use_pi != 0;
-      out.num_users = static_cast<int32_t>(num_users);
-      out.num_items = static_cast<int32_t>(num_items);
-      have_meta = true;
-    } else if (c.tag == kTagUserEmb) {
-      KGAG_RETURN_NOT_OK(ReadTensor(&in, &out.user_emb));
-      have_users = true;
-    } else if (c.tag == kTagItemEmb) {
-      KGAG_RETURN_NOT_OK(ReadTensor(&in, &out.item_emb));
-      have_items = true;
-    } else if (c.tag == kTagAttention) {
-      KGAG_RETURN_NOT_OK(ReadTensor(&in, &out.w1));
-      KGAG_RETURN_NOT_OK(ReadTensor(&in, &out.w2));
-      KGAG_RETURN_NOT_OK(ReadTensor(&in, &out.bias));
-      KGAG_RETURN_NOT_OK(ReadTensor(&in, &out.vc));
-      have_attn = true;
-    } else if (c.tag == kTagQuantMeta) {
-      uint8_t type = 0;
-      uint32_t block = 0;
-      if (!bio::ReadU8(&in, &type) || !bio::ReadU32(&in, &block)) {
-        return Status::InvalidArgument("frozen model: truncated quant meta");
-      }
-      if (type != static_cast<uint8_t>(QuantType::kFp32) &&
-          type != static_cast<uint8_t>(QuantType::kFp16) &&
-          type != static_cast<uint8_t>(QuantType::kInt8)) {
-        return Status::InvalidArgument(
-            "frozen model: unknown quantization type tag " +
-            std::to_string(static_cast<int>(type)) +
-            " (artifact written by a newer build?)");
-      }
-      out.quant = static_cast<QuantType>(type);
-      out.quant_block = block;
-      have_qmeta = true;
-    } else if (c.tag == kTagQuantUser) {
-      KGAG_RETURN_NOT_OK(ReadQuantizedMatrix(&in, &out.q_user));
-      have_quser = true;
-    } else if (c.tag == kTagQuantItem) {
-      KGAG_RETURN_NOT_OK(ReadQuantizedMatrix(&in, &out.q_item));
-      have_qitem = true;
-    }
-    // Unknown tags are ignored (CRC-validated forward compatibility,
-    // same policy as the checkpoint container).
-  }
-  if (!have_meta || !have_attn) {
-    return Status::InvalidArgument("frozen model: missing required chunk");
-  }
-  if (have_qmeta) {
-    if (!have_quser || !have_qitem) {
-      return Status::InvalidArgument(
-          "frozen model: quantized artifact missing a rep table chunk");
-    }
-  } else if (!have_users || !have_items) {
-    return Status::InvalidArgument("frozen model: missing required chunk");
-  }
-  KGAG_RETURN_NOT_OK(ValidateShapes(out));
-  return out;
-}
-
-namespace {
-
-/// WriteTensor record size: u64 rows | u64 cols | raw doubles.
-uint64_t TensorRecordBytes(const Tensor& t) {
-  return 2 * sizeof(uint64_t) + t.size() * sizeof(double);
-}
-
-/// Appends the WriteTensor byte layout into the open chunk directly from
-/// the tensor's storage (doubles are stored little-endian in memory on
-/// every platform this builds for, which is also what WriteTensor and the
-/// raw v2 blobs assume).
-Status AppendTensorRecord(ckpt::ContainerFileWriter* w, const Tensor& t) {
-  const uint64_t rows = t.rows(), cols = t.cols();
-  KGAG_RETURN_NOT_OK(w->Append(&rows, sizeof(rows)));
-  KGAG_RETURN_NOT_OK(w->Append(&cols, sizeof(cols)));
-  return w->Append(t.data(), t.size() * sizeof(double));
-}
-
-/// WriteQuantizedMatrix record size: u8 type | u64 rows | u64 cols |
-/// u32 block | u64 nscales + scales | u64 nbytes + codes.
-uint64_t QuantRecordBytes(const QuantizedMatrix& q) {
-  return 1 + 2 * sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t) +
-         q.scales.size() * sizeof(float) + sizeof(uint64_t) + q.data.size();
-}
-
-Status AppendQuantRecord(ckpt::ContainerFileWriter* w,
-                         const QuantizedMatrix& q) {
-  const uint8_t type = static_cast<uint8_t>(q.type);
-  const uint64_t rows = q.rows, cols = q.cols;
-  KGAG_RETURN_NOT_OK(w->Append(&type, sizeof(type)));
-  KGAG_RETURN_NOT_OK(w->Append(&rows, sizeof(rows)));
-  KGAG_RETURN_NOT_OK(w->Append(&cols, sizeof(cols)));
-  KGAG_RETURN_NOT_OK(w->Append(&q.block, sizeof(q.block)));
-  const uint64_t nscales = q.scales.size();
-  KGAG_RETURN_NOT_OK(w->Append(&nscales, sizeof(nscales)));
-  KGAG_RETURN_NOT_OK(
-      w->Append(q.scales.data(), q.scales.size() * sizeof(float)));
-  const uint64_t nbytes = q.data.size();
-  KGAG_RETURN_NOT_OK(w->Append(&nbytes, sizeof(nbytes)));
-  return w->Append(q.data.data(), q.data.size());
-}
-
-}  // namespace
-
-Status SaveFrozenModel(const FrozenModel& model, const std::string& path) {
-  if (model.is_mapped()) {
-    return Status::InvalidArgument(
-        "frozen model: mmap-backed models re-save as KGAGSRV2 "
-        "(SaveFrozenModelV2), not as a v1 container");
-  }
-  KGAG_RETURN_NOT_OK(ValidateShapes(model));
-
-  // Streamed chunk by chunk: the rep tables go from their in-memory
-  // buffers straight into the temp file under ContainerFileWriter's
-  // rolling CRC, byte-identical to EncodeFrozenModel + AtomicWriteFile
-  // (tests/test_artifact_v2.cc pins the equality) without ever holding
-  // the encoded artifact in memory.
-  const bool fp64 = model.quant == QuantType::kFp64;
-  ckpt::ContainerFileWriter w;
-  KGAG_RETURN_NOT_OK(
-      w.Open(path, kArtifactMagic, /*chunk_count=*/fp64 ? 4 : 5));
-  {
-    std::ostringstream meta(std::ios::binary);
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.dim));
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.group_size));
-    bio::WriteU8(&meta, model.use_sp ? 1 : 0);
-    bio::WriteU8(&meta, model.use_pi ? 1 : 0);
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.num_users));
-    bio::WriteU32(&meta, static_cast<uint32_t>(model.num_items));
-    KGAG_RETURN_NOT_OK(w.AddChunk(kTagMeta, meta.str()));
-  }
-  if (fp64) {
-    KGAG_RETURN_NOT_OK(
-        w.BeginChunk(kTagUserEmb, TensorRecordBytes(model.user_emb)));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, model.user_emb));
-    KGAG_RETURN_NOT_OK(w.EndChunk());
-    KGAG_RETURN_NOT_OK(
-        w.BeginChunk(kTagItemEmb, TensorRecordBytes(model.item_emb)));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, model.item_emb));
-    KGAG_RETURN_NOT_OK(w.EndChunk());
-  } else {
-    std::ostringstream qm(std::ios::binary);
-    bio::WriteU8(&qm, static_cast<uint8_t>(model.quant));
-    bio::WriteU32(&qm, model.quant_block);
-    KGAG_RETURN_NOT_OK(w.AddChunk(kTagQuantMeta, qm.str()));
-    KGAG_RETURN_NOT_OK(
-        w.BeginChunk(kTagQuantUser, QuantRecordBytes(model.q_user)));
-    KGAG_RETURN_NOT_OK(AppendQuantRecord(&w, model.q_user));
-    KGAG_RETURN_NOT_OK(w.EndChunk());
-    KGAG_RETURN_NOT_OK(
-        w.BeginChunk(kTagQuantItem, QuantRecordBytes(model.q_item)));
-    KGAG_RETURN_NOT_OK(AppendQuantRecord(&w, model.q_item));
-    KGAG_RETURN_NOT_OK(w.EndChunk());
-  }
-  {
-    const uint64_t attn_len =
-        TensorRecordBytes(model.w1) + TensorRecordBytes(model.w2) +
-        TensorRecordBytes(model.bias) + TensorRecordBytes(model.vc);
-    KGAG_RETURN_NOT_OK(w.BeginChunk(kTagAttention, attn_len));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, model.w1));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, model.w2));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, model.bias));
-    KGAG_RETURN_NOT_OK(AppendTensorRecord(&w, model.vc));
-    KGAG_RETURN_NOT_OK(w.EndChunk());
-  }
-  return w.Finish();
-}
-
-Result<FrozenModel> LoadFrozenModel(const std::string& path) {
-  std::string bytes;
-  KGAG_RETURN_NOT_OK(ReadFileToString(path, &bytes));
-  return DecodeFrozenModel(bytes);
 }
 
 namespace {
@@ -548,8 +289,11 @@ Status SaveFrozenModelV2(const FrozenModel& model, const std::string& path) {
 namespace {
 
 /// Copies an attention blob into an owned Tensor (raw doubles, so the
-/// values are bit-identical to what the v1 decoder produces).
-Status CopyAttnTensor(const MappedArtifact& m, uint32_t tag, Tensor* out) {
+/// values are bit-identical to the tensor that was saved). A non-empty
+/// blob must have the (rows x cols) shape the header's dim/group_size
+/// imply; that is checked before anything is allocated.
+Status CopyAttnTensor(const MappedArtifact& m, uint32_t tag, uint64_t rows,
+                      uint64_t cols, Tensor* out) {
   const BlobEntry* e = m.Find(tag);
   if (e == nullptr) return ShapeError("missing attention blob");
   if (e->dtype != static_cast<uint8_t>(QuantType::kFp64)) {
@@ -559,9 +303,44 @@ Status CopyAttnTensor(const MappedArtifact& m, uint32_t tag, Tensor* out) {
     *out = Tensor();
     return Status::OK();
   }
+  if (e->rows != rows || e->cols != cols) {
+    return ShapeError("attention blob shape does not match the header");
+  }
   *out = Tensor(e->rows, e->cols);
   std::memcpy(out->data(), m.BlobData(*e), e->nbytes);
   return Status::OK();
+}
+
+/// Checks a table's scales blob against its codes blob: int8 tables need
+/// one fp32 scale per row and scale block, every other tier carries none.
+/// Returns the scales entry the view should use (null when the tier has
+/// no scales).
+Result<const BlobEntry*> CheckedScales(const MappedArtifact& m, uint32_t tag,
+                                       const BlobEntry& codes,
+                                       const char* what) {
+  const BlobEntry* e = m.Find(tag);
+  const ArtifactV2Meta& meta = m.meta();
+  const size_t spr =
+      QuantScalesPerRow(static_cast<QuantType>(meta.quant_type),
+                        static_cast<size_t>(codes.cols), meta.quant_block);
+  if (spr == 0) {
+    if (e != nullptr && e->nbytes != 0) {
+      return ShapeError(std::string(what) +
+                        " has scales but its precision takes none");
+    }
+    return static_cast<const BlobEntry*>(nullptr);
+  }
+  if (e == nullptr) {
+    return ShapeError(std::string(what) + " missing int8 scales");
+  }
+  if (e->dtype != static_cast<uint8_t>(QuantType::kFp32)) {
+    return ShapeError(std::string(what) + " scales are not fp32");
+  }
+  if (e->rows != codes.rows || e->cols != spr) {
+    return ShapeError(std::string(what) +
+                      " scales shape does not match its codes");
+  }
+  return e;
 }
 
 }  // namespace
@@ -594,45 +373,25 @@ Result<FrozenModel> LoadFrozenModelMmap(const std::string& path,
   if (urep == nullptr || irep == nullptr) {
     return ShapeError("missing rep table blob");
   }
-  const BlobEntry* uscl = m->Find(kBlobUserScales);
-  const BlobEntry* iscl = m->Find(kBlobItemScales);
-  out.mapped_user = MakeRepView(*m, *urep, uscl);
-  out.mapped_item = MakeRepView(*m, *irep, iscl);
+  Result<const BlobEntry*> uscl =
+      CheckedScales(*m, kBlobUserScales, *urep, "user table");
+  KGAG_RETURN_NOT_OK(uscl.status());
+  Result<const BlobEntry*> iscl =
+      CheckedScales(*m, kBlobItemScales, *irep, "item table");
+  KGAG_RETURN_NOT_OK(iscl.status());
+  out.mapped_user = MakeRepView(*m, *urep, *uscl);
+  out.mapped_item = MakeRepView(*m, *irep, *iscl);
 
-  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnW1, &out.w1));
-  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnW2, &out.w2));
-  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnBias, &out.bias));
-  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnVc, &out.vc));
+  const uint64_t d = meta.dim;
+  const uint64_t peers = meta.group_size == 0 ? 0 : meta.group_size - 1;
+  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnW1, d, d, &out.w1));
+  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnW2, d * peers, d, &out.w2));
+  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnBias, 1, d, &out.bias));
+  KGAG_RETURN_NOT_OK(CopyAttnTensor(*m, kBlobAttnVc, d, 1, &out.vc));
 
   out.mapping = m;
   KGAG_RETURN_NOT_OK(ValidateShapes(out));
   return out;
-}
-
-Result<FrozenModel> LoadFrozenModelAuto(const std::string& path,
-                                        const MappedArtifact::Options& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic))) {
-    // Empty or truncated-before-the-magic file: say exactly that (and
-    // which file), instead of surfacing a raw stream-read failure. An
-    // artifact watcher hitting a just-created empty file gets a clear,
-    // retryable diagnosis.
-    return Status::InvalidArgument(
-        "artifact " + path + " is too short to be a KGAGSRV artifact (" +
-        std::to_string(in.gcount()) + " of " +
-        std::to_string(sizeof(magic)) + " magic bytes)");
-  }
-  if (!in.good()) {
-    return Status::IoError("cannot read artifact magic from " + path);
-  }
-  in.close();
-  if (std::memcmp(magic, kArtifactV2Magic.data(), 8) == 0) {
-    return LoadFrozenModelMmap(path, options);
-  }
-  return LoadFrozenModel(path);
 }
 
 }  // namespace serve

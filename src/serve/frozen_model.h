@@ -10,34 +10,21 @@
 // a request only needs row gathers, one GEMM against the item matrix and
 // a softmax per candidate (see frozen_scorer.h).
 //
-// The artifact reuses the checkpoint chunk container under its own magic
-// "KGAGSRV1" — same framing, per-chunk CRC32 and allocation bounds — with
-// chunks:
-//   SMTA  u32 dim | u32 group_size | u8 use_sp | u8 use_pi |
-//         u32 num_users | u32 num_items
-//   UEMB  tensor (num_users x dim)   — serving user representations
-//   IEMB  tensor (num_items x dim)   — serving item representations
-//   ATTN  4 tensors W1, W2, b, vc    — 0x0 when the model has none
-// where "tensor" is WriteTensor's u64 rows | u64 cols | raw doubles.
+// The artifact is KGAGSRV2 (artifact_mmap.h, DESIGN.md §14), the one
+// serving format: a CRC-protected header + blob index followed by the raw
+// rep tables (codes, plus int8 scales) and the fp64 attention weights.
+// SaveFrozenModelV2 writes it and LoadFrozenModelMmap maps it; the mapped
+// model scores bit-identically to the in-memory one it was saved from.
 // Encoding is deterministic: freezing the same model state twice yields
-// byte-identical files (eval trees are seeded per node).
-//
-// Quantized artifacts (DESIGN.md §11) extend the container: when the rep
-// tables are stored below full precision the UEMB/IEMB chunks are
-// replaced by
-//   QNTM  u8 quant_type | u32 quant_block
-//   QUSR  quantized matrix (num_users x dim)  — see WriteQuantizedMatrix
-//   QITM  quantized matrix (num_items x dim)
-// Full-precision (fp64) artifacts carry no QNTM chunk and are encoded
-// byte-identically to the pre-quantization format, so old files load
-// unchanged and old readers still read new fp64 files. Unknown or
-// corrupt quant-type tags are rejected with a clear error.
+// byte-identical files (eval trees are seeded per node), and so does
+// re-saving a mapped model. Quantized tiers (DESIGN.md §11) record their
+// precision in the header's quant_type byte; an unknown tag is rejected
+// with a clear error.
 #ifndef KGAG_SERVE_FROZEN_MODEL_H_
 #define KGAG_SERVE_FROZEN_MODEL_H_
 
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -51,9 +38,6 @@ class KgagModel;
 
 namespace serve {
 
-/// 8-byte container magic for serving artifacts.
-inline constexpr std::string_view kArtifactMagic = "KGAGSRV1";
-
 /// \brief Immutable scoring state: everything the online path needs.
 struct FrozenModel {
   int dim = 0;
@@ -66,10 +50,9 @@ struct FrozenModel {
   int32_t num_users = 0;
   int32_t num_items = 0;
 
-  /// Rep-table storage precision. kFp64 (the default and the only value
-  /// legacy artifacts decode to) keeps the tables in user_emb/item_emb;
-  /// any other tier keeps them in q_user/q_item instead and leaves the
-  /// fp64 tensors 0x0.
+  /// Rep-table storage precision. kFp64 (the default) keeps owned tables
+  /// in user_emb/item_emb; any other tier keeps them in q_user/q_item
+  /// instead and leaves the fp64 tensors 0x0.
   QuantType quant = QuantType::kFp64;
   /// Columns per int8 scale block (0 = per-row). Meaningless unless
   /// quant == kInt8.
@@ -102,8 +85,8 @@ struct FrozenModel {
 
   /// View of the user rep table wherever it lives — owned fp64 tensor,
   /// owned quantized matrix, or the mapping. THE way the scoring path
-  /// reads rep rows: because heap- and mmap-backed models expose the same
-  /// bytes through the same view, the two paths are bit-identical by
+  /// reads rep rows: because in-memory and mmap-backed models expose the
+  /// same bytes through the same view, the two are bit-identical by
   /// construction.
   RepView UserView() const;
   /// Item-table counterpart of UserView().
@@ -121,8 +104,9 @@ std::string ArtifactStatusJson(const FrozenModel& model);
 
 /// Returns a copy of `model` with the user/item rep tables quantized to
 /// `type` (block `block` for int8). `model` must be full-precision
-/// (quant == kFp64); asking for kFp64 returns an unchanged copy. The
-/// attention weights pass through untouched.
+/// (quant == kFp64) and in memory, not mmap-backed; asking for kFp64
+/// returns an unchanged copy. The attention weights pass through
+/// untouched.
 Result<FrozenModel> QuantizeFrozenModel(const FrozenModel& model,
                                         QuantType type, uint32_t block = 0);
 
@@ -131,38 +115,18 @@ Result<FrozenModel> QuantizeFrozenModel(const FrozenModel& model,
 /// restored parameters); it is not modified beyond its eval-tree cache.
 Result<FrozenModel> FreezeKgagModel(KgagModel* model);
 
-/// Serializes to the KGAGSRV1 container.
-Status EncodeFrozenModel(const FrozenModel& model, std::string* out);
-
-/// Parses and validates a KGAGSRV1 container: magic, per-chunk CRCs,
-/// shape consistency (embedding/attention dims against the meta chunk).
-Result<FrozenModel> DecodeFrozenModel(std::string_view data);
-
-/// Encode + atomic write (temp + fsync + rename). Streams chunk by chunk
-/// through ckpt::ContainerFileWriter — the encoded artifact never exists
-/// in memory — producing bytes identical to EncodeFrozenModel.
-Status SaveFrozenModel(const FrozenModel& model, const std::string& path);
-
-/// Read + decode.
-Result<FrozenModel> LoadFrozenModel(const std::string& path);
-
-/// Writes the model as a KGAGSRV2 mmap-layout artifact (atomic, like
-/// SaveFrozenModel). Reads the tables through views, so it works from an
-/// owned OR an mmap-backed model (which is how freeze_model converts
-/// between layouts).
+/// Writes the model as a KGAGSRV2 artifact (temp + fsync + rename).
+/// Reads the tables through views, so it works from an owned OR an
+/// mmap-backed model; re-saving a mapped model reproduces its file byte
+/// for byte.
 Status SaveFrozenModelV2(const FrozenModel& model, const std::string& path);
 
 /// Maps a KGAGSRV2 artifact: header/index validated (and blob CRCs too
 /// when options.verify_crc), rep tables exposed as views into the
 /// mapping, attention weights copied into owned tensors. O(header) work —
-/// no rep bytes are read until queries touch them.
+/// no rep bytes are read until queries touch them. This is the only
+/// artifact loader.
 Result<FrozenModel> LoadFrozenModelMmap(
-    const std::string& path, const MappedArtifact::Options& options = {});
-
-/// Sniffs the 8-byte magic and dispatches: KGAGSRV2 -> LoadFrozenModelMmap,
-/// KGAGSRV1 -> LoadFrozenModel (heap decode). The one entry point tools
-/// use so v1 artifacts keep loading unchanged.
-Result<FrozenModel> LoadFrozenModelAuto(
     const std::string& path, const MappedArtifact::Options& options = {});
 
 }  // namespace serve

@@ -2,19 +2,12 @@
 
 #include <cmath>
 #include <cstring>
-#include <istream>
-#include <ostream>
 
-#include "common/binary_io.h"
 #include "common/check.h"
 
 namespace kgag {
 
 namespace {
-
-Status QuantError(const std::string& what) {
-  return Status::InvalidArgument("quantized matrix: " + what);
-}
 
 size_t ScalesPerRowFor(QuantType type, size_t cols, uint32_t block) {
   if (type != QuantType::kInt8) return 0;
@@ -268,56 +261,6 @@ Tensor DequantizeMatrix(const QuantizedMatrix& q) {
     DequantizeRow(q, r, t.data() + r * q.cols);
   }
   return t;
-}
-
-Status WriteQuantizedMatrix(std::ostream* out, const QuantizedMatrix& q) {
-  if (q.data.size() != q.rows * q.RowBytes() ||
-      q.scales.size() != q.rows * q.ScalesPerRow()) {
-    return QuantError("inconsistent payload sizes");
-  }
-  bio::WriteU8(out, static_cast<uint8_t>(q.type));
-  bio::WriteU64(out, q.rows);
-  bio::WriteU64(out, q.cols);
-  bio::WriteU32(out, q.block);
-  bio::WritePodVector(out, q.scales);
-  bio::WritePodVector(out, q.data);
-  return Status::OK();
-}
-
-Status ReadQuantizedMatrix(std::istream* in, QuantizedMatrix* q,
-                           uint64_t max_elems) {
-  uint8_t type = 0;
-  uint64_t rows = 0, cols = 0;
-  uint32_t block = 0;
-  if (!bio::ReadU8(in, &type) || !bio::ReadU64(in, &rows) ||
-      !bio::ReadU64(in, &cols) || !bio::ReadU32(in, &block)) {
-    return QuantError("truncated header");
-  }
-  if (type != static_cast<uint8_t>(QuantType::kFp32) &&
-      type != static_cast<uint8_t>(QuantType::kFp16) &&
-      type != static_cast<uint8_t>(QuantType::kInt8)) {
-    return QuantError("unknown quantization type tag " + std::to_string(type));
-  }
-  if (rows > max_elems || cols > max_elems || rows * cols > max_elems) {
-    return QuantError("declared shape exceeds allocation bound");
-  }
-  QuantizedMatrix parsed;
-  parsed.type = static_cast<QuantType>(type);
-  parsed.rows = static_cast<size_t>(rows);
-  parsed.cols = static_cast<size_t>(cols);
-  parsed.block = block;
-  if (!bio::ReadPodVector(in, &parsed.scales, max_elems) ||
-      !bio::ReadPodVector(in, &parsed.data, max_elems * sizeof(double))) {
-    return QuantError("truncated payload");
-  }
-  if (parsed.scales.size() != parsed.rows * parsed.ScalesPerRow()) {
-    return QuantError("scale count does not match shape");
-  }
-  if (parsed.data.size() != parsed.rows * parsed.RowBytes()) {
-    return QuantError("code bytes do not match shape");
-  }
-  *q = std::move(parsed);
-  return Status::OK();
 }
 
 }  // namespace kgag

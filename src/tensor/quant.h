@@ -22,19 +22,17 @@
 #define KGAG_TENSOR_QUANT_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
 #include "tensor/tensor.h"
 
 namespace kgag {
 
-/// Storage precision of a rep table. Values are the on-disk tags of the
-/// KGAGSRV1 QNTM chunk — never renumber.
+/// Storage precision of a rep table. Values are the on-disk quant_type
+/// and blob dtype tags of KGAGSRV2 — never renumber.
 enum class QuantType : uint8_t {
-  kFp64 = 0,  ///< unquantized library Scalar (legacy artifacts)
+  kFp64 = 0,  ///< unquantized library Scalar
   kFp32 = 1,
   kFp16 = 2,
   kInt8 = 3,
@@ -156,18 +154,6 @@ void DequantizeRow(const RepView& v, size_t r, double* out);
 uint16_t FloatToHalf(float f);
 /// IEEE binary16 -> binary32 (exact widening).
 float HalfToFloat(uint16_t h);
-
-/// Serializes a QuantizedMatrix:
-///   u8 type | u64 rows | u64 cols | u32 block |
-///   u64 nscales | f32 scales[] | u64 nbytes | codes[]
-/// The stream layout is deterministic, so containers embedding it are
-/// byte-stable across encode/decode round trips.
-Status WriteQuantizedMatrix(std::ostream* out, const QuantizedMatrix& q);
-
-/// Reads a WriteQuantizedMatrix record. Rejects unknown type tags,
-/// shape/size inconsistencies and allocations beyond `max_elems`.
-Status ReadQuantizedMatrix(std::istream* in, QuantizedMatrix* q,
-                           uint64_t max_elems = uint64_t{1} << 32);
 
 }  // namespace kgag
 

@@ -1,8 +1,8 @@
 // KGAGSRV2 mmap artifact tests (DESIGN.md §14): corruption rejection
-// (truncation, bit flips, misaligned offsets), the mmap-vs-heap score
-// bit-identity contract across every quantization tier, v1 back-compat
-// through the auto loader, and the pin that the streaming v1 writer
-// produces byte-identical output to the in-memory encoder.
+// (truncation, bit flips, misaligned offsets, crafted index entries with
+// valid CRCs), the mmap-vs-in-memory score bit-identity contract and
+// byte-stable re-saves across every quantization tier, and the atomic
+// publish contract under crash injection.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -38,6 +39,45 @@ namespace fs = std::filesystem;
 // break and must bump kArtifactV2Version.
 constexpr size_t kFixedHeaderBytes = 39;
 constexpr size_t kEntryBytes = 41;
+// Byte offsets of the header's quant_type and of an index entry's fields.
+constexpr size_t kQuantTypeByte = 30;
+constexpr size_t kEntryDtype = 4;
+constexpr size_t kEntryRows = 5;
+constexpr size_t kEntryCols = 13;
+constexpr size_t kEntryOffset = 21;
+constexpr size_t kEntryNbytes = 29;
+constexpr size_t kEntryCrc = 37;
+
+template <typename T>
+T Peek(const std::string& bytes, size_t pos) {
+  T v;
+  std::memcpy(&v, bytes.data() + pos, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void Poke(std::string* bytes, size_t pos, T v) {
+  std::memcpy(bytes->data() + pos, &v, sizeof(v));
+}
+
+/// Start of the index entry for blob `tag`.
+size_t EntryPos(const std::string& bytes, uint32_t tag) {
+  const uint32_t count = Peek<uint32_t>(bytes, kFixedHeaderBytes - 4);
+  for (size_t i = 0; i < count; ++i) {
+    const size_t pos = kFixedHeaderBytes + i * kEntryBytes;
+    if (Peek<uint32_t>(bytes, pos) == tag) return pos;
+  }
+  ADD_FAILURE() << "no blob with tag " << tag;
+  return 0;
+}
+
+/// Recomputes the header CRC after the header or index was patched, so
+/// only the loader's semantic checks stand between the bytes and a model.
+void ResignHeader(std::string* bytes) {
+  const uint32_t count = Peek<uint32_t>(*bytes, kFixedHeaderBytes - 4);
+  const size_t crc_pos = kFixedHeaderBytes + count * kEntryBytes;
+  Poke(bytes, crc_pos, Crc32(bytes->data(), crc_pos));
+}
 
 std::string TestTmpDir(const std::string& leaf) {
   const char* base = std::getenv("TEST_TMPDIR");
@@ -108,19 +148,20 @@ void ExpectBitIdenticalScores(const FrozenModel& a, const FrozenModel& b) {
   }
 }
 
+struct Tier {
+  QuantType q;
+  uint32_t block;
+};
+constexpr Tier kTiers[] = {{QuantType::kFp64, 0},
+                           {QuantType::kFp32, 0},
+                           {QuantType::kFp16, 0},
+                           {QuantType::kInt8, 0},
+                           {QuantType::kInt8, 8}};
+
 TEST(ArtifactV2, MmapScoresBitIdenticalToHeapAcrossTiers) {
   const std::string dir = TestTmpDir("artifact_v2_tiers");
   const FrozenModel base = MakeModel();
-  struct Tier {
-    QuantType q;
-    uint32_t block;
-  };
-  const Tier tiers[] = {{QuantType::kFp64, 0},
-                        {QuantType::kFp32, 0},
-                        {QuantType::kFp16, 0},
-                        {QuantType::kInt8, 0},
-                        {QuantType::kInt8, 8}};
-  for (const Tier& tier : tiers) {
+  for (const Tier& tier : kTiers) {
     Result<FrozenModel> heap = QuantizeFrozenModel(base, tier.q, tier.block);
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     const std::string path =
@@ -144,40 +185,21 @@ TEST(ArtifactV2, MmapScoresBitIdenticalToHeapAcrossTiers) {
 TEST(ArtifactV2, SaveFromMappedModelIsByteStable) {
   const std::string dir = TestTmpDir("artifact_v2_restable");
   const FrozenModel base = MakeModel();
-  Result<FrozenModel> heap =
-      QuantizeFrozenModel(base, QuantType::kInt8, /*block=*/4);
-  ASSERT_TRUE(heap.ok());
-  const std::string path = dir + "/m.srv2";
-  ASSERT_TRUE(SaveFrozenModelV2(*heap, path).ok());
-  Result<FrozenModel> mapped = LoadFrozenModelMmap(path);
-  ASSERT_TRUE(mapped.ok());
-  // Re-encoding straight from the mapping must reproduce the file.
-  const std::string again = dir + "/again.srv2";
-  ASSERT_TRUE(SaveFrozenModelV2(*mapped, again).ok());
-  std::string b1, b2;
-  ASSERT_TRUE(ReadFileToString(path, &b1).ok());
-  ASSERT_TRUE(ReadFileToString(again, &b2).ok());
-  EXPECT_EQ(b1, b2);
-}
-
-TEST(ArtifactV2, AutoLoaderDispatchesOnMagic) {
-  const std::string dir = TestTmpDir("artifact_v2_auto");
-  const FrozenModel base = MakeModel();
-  const std::string v1 = dir + "/m.srv";
-  const std::string v2 = dir + "/m.srv2";
-  ASSERT_TRUE(SaveFrozenModel(base, v1).ok());
-  ASSERT_TRUE(SaveFrozenModelV2(base, v2).ok());
-
-  Result<FrozenModel> heap = LoadFrozenModelAuto(v1);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  EXPECT_FALSE(heap->is_mapped());
-  Result<FrozenModel> mapped = LoadFrozenModelAuto(v2);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->is_mapped());
-  // And the v1 back-compat regression: both loads score identically to
-  // the in-memory source model.
-  ExpectBitIdenticalScores(base, *heap);
-  ExpectBitIdenticalScores(base, *mapped);
+  for (const Tier& tier : kTiers) {
+    Result<FrozenModel> heap = QuantizeFrozenModel(base, tier.q, tier.block);
+    ASSERT_TRUE(heap.ok());
+    const std::string path = dir + "/m.srv2";
+    ASSERT_TRUE(SaveFrozenModelV2(*heap, path).ok());
+    Result<FrozenModel> mapped = LoadFrozenModelMmap(path);
+    ASSERT_TRUE(mapped.ok());
+    // Re-encoding straight from the mapping must reproduce the file.
+    const std::string again = dir + "/again.srv2";
+    ASSERT_TRUE(SaveFrozenModelV2(*mapped, again).ok());
+    std::string b1, b2;
+    ASSERT_TRUE(ReadFileToString(path, &b1).ok());
+    ASSERT_TRUE(ReadFileToString(again, &b2).ok());
+    EXPECT_EQ(b1, b2) << QuantTypeName(tier.q) << " block " << tier.block;
+  }
 }
 
 TEST(ArtifactV2, TruncatedFilesRejected) {
@@ -262,16 +284,129 @@ TEST(ArtifactV2, MisalignedBlobOffsetRejected) {
   EXPECT_FALSE(m.ok());
 }
 
-TEST(ArtifactV2, MappedModelsRejectedByV1Encoders) {
-  const std::string dir = TestTmpDir("artifact_v2_reject");
+TEST(ArtifactV2, UnknownQuantTypeRejectedWithClearError) {
+  const std::string dir = TestTmpDir("artifact_v2_quant_tag");
+  const std::string path = dir + "/m.srv2";
+  Result<FrozenModel> q = QuantizeFrozenModel(MakeModel(), QuantType::kInt8);
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(SaveFrozenModelV2(*q, path).ok());
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
+  // An artifact from a newer build with a quant tier this reader does
+  // not know: the header is intact, only the tag is foreign.
+  ASSERT_EQ(bytes[kQuantTypeByte], static_cast<char>(QuantType::kInt8));
+  bytes[kQuantTypeByte] = 42;
+  ResignHeader(&bytes);
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  Result<FrozenModel> loaded = LoadFrozenModelMmap(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("unknown quantization type"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(ArtifactV2, OverflowingBlobShapeRejectedWithoutAbort) {
+  const std::string dir = TestTmpDir("artifact_v2_overflow");
   const std::string path = dir + "/m.srv2";
   ASSERT_TRUE(SaveFrozenModelV2(MakeModel(), path).ok());
-  Result<FrozenModel> mapped = LoadFrozenModelMmap(path);
-  ASSERT_TRUE(mapped.ok());
-  std::string encoded;
-  EXPECT_FALSE(EncodeFrozenModel(*mapped, &encoded).ok());
-  EXPECT_FALSE(SaveFrozenModel(*mapped, dir + "/m.srv").ok());
-  EXPECT_FALSE(QuantizeFrozenModel(*mapped, QuantType::kFp16, 0).ok());
+  std::string clean;
+  ASSERT_TRUE(ReadFileToString(path, &clean).ok());
+  const size_t vc = EntryPos(clean, kBlobAttnVc);
+
+  // rows * cols * 8 wraps to exactly 0 in 64 bits: a loader that trusts
+  // the wrapped product would size a 2^61-row tensor from an empty blob.
+  std::string bytes = clean;
+  Poke<uint64_t>(&bytes, vc + kEntryRows, uint64_t{1} << 61);
+  Poke<uint64_t>(&bytes, vc + kEntryCols, 1);
+  Poke<uint64_t>(&bytes, vc + kEntryNbytes, 0);
+  ResignHeader(&bytes);
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  EXPECT_FALSE(MappedArtifact::Map(path).ok());
+  EXPECT_FALSE(LoadFrozenModelMmap(path).ok());
+
+  // A size-consistent attention blob whose shape disagrees with the
+  // header's dim is rejected as well (vc is dim x 1, not 1 x dim).
+  bytes = clean;
+  Poke<uint64_t>(&bytes, vc + kEntryRows, 1);
+  Poke<uint64_t>(&bytes, vc + kEntryCols, 16);
+  ResignHeader(&bytes);
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  EXPECT_FALSE(LoadFrozenModelMmap(path).ok());
+}
+
+TEST(ArtifactV2, ScalesBlobMustMatchItsCodes) {
+  const std::string dir = TestTmpDir("artifact_v2_scales");
+  const std::string path = dir + "/m.srv2";
+  Result<FrozenModel> q = QuantizeFrozenModel(MakeModel(), QuantType::kInt8);
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(SaveFrozenModelV2(*q, path).ok());
+  std::string clean;
+  ASSERT_TRUE(ReadFileToString(path, &clean).ok());
+  const size_t uscl = EntryPos(clean, kBlobUserScales);
+  ASSERT_EQ(Peek<uint64_t>(clean, uscl + kEntryRows), 61u);
+  MmapLoadOptions verify;
+  verify.verify_crc = true;
+
+  // Cut the user scales from 61 rows to 1, with blob and header CRCs
+  // recomputed: every CRC holds, but users 1..60 would read their scales
+  // past the end of the blob.
+  std::string bytes = clean;
+  Poke<uint64_t>(&bytes, uscl + kEntryRows, 1);
+  Poke<uint64_t>(&bytes, uscl + kEntryNbytes, sizeof(float));
+  const uint64_t offset = Peek<uint64_t>(bytes, uscl + kEntryOffset);
+  Poke(&bytes, uscl + kEntryCrc, Crc32(bytes.data() + offset, sizeof(float)));
+  ResignHeader(&bytes);
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  EXPECT_FALSE(LoadFrozenModelMmap(path, verify).ok());
+
+  // Same bytes declared as 61 x 4 int8 values instead of 61 fp32 scales.
+  bytes = clean;
+  bytes[uscl + kEntryDtype] = static_cast<char>(QuantType::kInt8);
+  Poke<uint64_t>(&bytes, uscl + kEntryCols, 4);
+  ResignHeader(&bytes);
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  EXPECT_FALSE(LoadFrozenModelMmap(path, verify).ok());
+
+  // A tier without scales must not carry a scales blob.
+  Result<FrozenModel> fp16 =
+      QuantizeFrozenModel(MakeModel(), QuantType::kFp16);
+  ASSERT_TRUE(fp16.ok());
+  const RepView u = fp16->UserView();
+  const RepView i = fp16->ItemView();
+  ArtifactV2Meta meta;
+  meta.dim = 16;
+  meta.group_size = 4;
+  meta.num_users = 61;
+  meta.num_items = 47;
+  meta.quant_type = static_cast<uint8_t>(QuantType::kFp16);
+  const uint8_t f16 = static_cast<uint8_t>(QuantType::kFp16);
+  const uint8_t f32 = static_cast<uint8_t>(QuantType::kFp32);
+  const uint8_t f64 = static_cast<uint8_t>(QuantType::kFp64);
+  const std::vector<float> stray(u.rows, 1.0f);
+  ArtifactV2Writer w;
+  ASSERT_TRUE(w.Open(path, meta,
+                     {{kBlobUserRep, f16, u.rows, u.cols},
+                      {kBlobUserScales, f32, u.rows, 1},
+                      {kBlobItemRep, f16, i.rows, i.cols},
+                      {kBlobAttnW1, f64, 16, 16},
+                      {kBlobAttnW2, f64, 48, 16},
+                      {kBlobAttnBias, f64, 1, 16},
+                      {kBlobAttnVc, f64, 16, 1}})
+                  .ok());
+  ASSERT_TRUE(w.AddBlob(kBlobUserRep, u.codes, u.rows * u.RowBytes()).ok());
+  ASSERT_TRUE(
+      w.AddBlob(kBlobUserScales, stray.data(), stray.size() * sizeof(float))
+          .ok());
+  ASSERT_TRUE(w.AddBlob(kBlobItemRep, i.codes, i.rows * i.RowBytes()).ok());
+  for (const auto& [tag, t] :
+       {std::pair{kBlobAttnW1, &fp16->w1}, std::pair{kBlobAttnW2, &fp16->w2},
+        std::pair{kBlobAttnBias, &fp16->bias},
+        std::pair{kBlobAttnVc, &fp16->vc}}) {
+    ASSERT_TRUE(w.AddBlob(tag, t->data(), t->size() * sizeof(double)).ok());
+  }
+  ASSERT_TRUE(w.Finish().ok());
+  Result<FrozenModel> stray_loaded = LoadFrozenModelMmap(path, verify);
+  EXPECT_FALSE(stray_loaded.ok());
 }
 
 TEST(ArtifactV2, WriterEnforcesDeclarationOrderAndSizes) {
@@ -314,25 +449,6 @@ TEST(ArtifactV2, WriterEnforcesDeclarationOrderAndSizes) {
   }
 }
 
-TEST(StreamedSave, MatchesInMemoryEncoderByteForByte) {
-  const std::string dir = TestTmpDir("streamed_save_pin");
-  const FrozenModel base = MakeModel();
-  const QuantType tiers[] = {QuantType::kFp64, QuantType::kFp32,
-                             QuantType::kFp16, QuantType::kInt8};
-  for (QuantType q : tiers) {
-    Result<FrozenModel> m = QuantizeFrozenModel(base, q, /*block=*/0);
-    ASSERT_TRUE(m.ok());
-    std::string encoded;
-    ASSERT_TRUE(EncodeFrozenModel(*m, &encoded).ok());
-    const std::string path =
-        dir + "/m" + std::to_string(static_cast<int>(q)) + ".srv";
-    ASSERT_TRUE(SaveFrozenModel(*m, path).ok());
-    std::string streamed;
-    ASSERT_TRUE(ReadFileToString(path, &streamed).ok());
-    EXPECT_EQ(streamed, encoded) << QuantTypeName(q);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Degenerate files and crash injection
 
@@ -348,7 +464,7 @@ TEST(AutoLoader, EmptyAndShortFilesGetClearInvalidArgument) {
   for (const auto& c : cases) {
     const std::string path = dir + "/" + c.leaf;
     ASSERT_TRUE(AtomicWriteFile(path, c.bytes).ok());
-    Result<FrozenModel> loaded = LoadFrozenModelAuto(path);
+    Result<FrozenModel> loaded = LoadFrozenModelMmap(path);
     ASSERT_FALSE(loaded.ok()) << c.leaf;
     const std::string msg = loaded.status().ToString();
     EXPECT_TRUE(loaded.status().IsInvalidArgument()) << msg;
@@ -386,7 +502,7 @@ TEST(CrashInjection, KilledWriterNeverExposesPartialArtifact) {
         std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
     while (std::chrono::steady_clock::now() < deadline) {
       if (fs::exists(target)) {
-        Result<FrozenModel> seen = LoadFrozenModelAuto(target);
+        Result<FrozenModel> seen = LoadFrozenModelMmap(target);
         EXPECT_TRUE(seen.ok())
             << "watcher observed a partial artifact: "
             << seen.status().ToString();
@@ -401,7 +517,7 @@ TEST(CrashInjection, KilledWriterNeverExposesPartialArtifact) {
 
     // Post-mortem: whatever the path holds now must be complete.
     if (fs::exists(target)) {
-      Result<FrozenModel> survivor = LoadFrozenModelAuto(target);
+      Result<FrozenModel> survivor = LoadFrozenModelMmap(target);
       EXPECT_TRUE(survivor.ok()) << survivor.status().ToString();
       if (survivor.ok()) {
         EXPECT_EQ(survivor->num_users, model.num_users);

@@ -3,7 +3,8 @@
 // processes with the same spec must agree on every byte of the world),
 // group/KG structure must satisfy its documented invariants, and the
 // streamed freeze must produce the same artifact regardless of chunk
-// size, loadable and score-consistent across both layouts.
+// size, and that artifact must score bit-identically to the same world
+// quantized in memory as whole tables.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -155,6 +156,33 @@ TEST(BigWorldFreeze, ChunkSizeDoesNotChangeTheArtifact) {
   }
 }
 
+/// The world as an in-memory model: whole fp64 tables from the generator,
+/// quantized in one QuantizeFrozenModel call. The streamed artifact must
+/// agree with it to the bit, which pins that chunked quantization equals
+/// whole-table quantization.
+serve::FrozenModel InMemoryWorld(const synthetic::BigWorldGen& gen,
+                                 QuantType q) {
+  const synthetic::BigWorldSpec& spec = gen.spec();
+  const size_t d = spec.dim;
+  serve::FrozenModel m;
+  m.dim = static_cast<int>(d);
+  m.group_size = static_cast<int>(spec.group_size);
+  m.num_users = static_cast<int32_t>(spec.num_users);
+  m.num_items = static_cast<int32_t>(spec.num_items);
+  m.user_emb = Tensor(spec.num_users, d);
+  m.item_emb = Tensor(spec.num_items, d);
+  gen.UserRows(0, spec.num_users, m.user_emb.data());
+  gen.ItemRows(0, spec.num_items, m.item_emb.data());
+  m.w1 = Tensor(d, d);
+  m.w2 = Tensor(d * (spec.group_size - 1), d);
+  m.bias = Tensor(1, d);
+  m.vc = Tensor(d, 1);
+  gen.Attention(m.w1.data(), m.w2.data(), m.bias.data(), m.vc.data());
+  Result<serve::FrozenModel> quantized = serve::QuantizeFrozenModel(m, q);
+  EXPECT_TRUE(quantized.ok()) << quantized.status().ToString();
+  return quantized.ok() ? std::move(*quantized) : m;
+}
+
 TEST(BigWorldFreeze, StreamedArtifactsLoadAndAgreeAcrossLayouts) {
   const std::string dir = TestTmpDir("bigworld_layouts");
   const synthetic::BigWorldGen gen(SmallSpec());
@@ -162,35 +190,34 @@ TEST(BigWorldFreeze, StreamedArtifactsLoadAndAgreeAcrossLayouts) {
     serve::BigWorldFreezeOptions opts;
     opts.quant = q;
     opts.chunk_rows = 33;  // force several chunks per table
-    const std::string v2 = dir + "/w.srv2";
-    const std::string v1 = dir + "/w.srv1";
-    ASSERT_TRUE(serve::FreezeBigWorldV2(gen, opts, v2).ok());
-    ASSERT_TRUE(serve::FreezeBigWorldV1(gen, opts, v1).ok());
+    const std::string path = dir + "/w.srv2";
+    ASSERT_TRUE(serve::FreezeBigWorldV2(gen, opts, path).ok());
 
     serve::MmapLoadOptions verify;
     verify.verify_crc = true;
-    Result<serve::FrozenModel> mapped = serve::LoadFrozenModelMmap(v2, verify);
-    Result<serve::FrozenModel> heap = serve::LoadFrozenModelAuto(v1);
+    Result<serve::FrozenModel> mapped =
+        serve::LoadFrozenModelMmap(path, verify);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    const serve::FrozenModel memory = InMemoryWorld(gen, q);
     EXPECT_TRUE(mapped->is_mapped());
-    EXPECT_FALSE(heap->is_mapped());
+    EXPECT_FALSE(memory.is_mapped());
     EXPECT_EQ(mapped->num_users,
               static_cast<int32_t>(gen.spec().num_users));
     EXPECT_EQ(mapped->num_items,
               static_cast<int32_t>(gen.spec().num_items));
     EXPECT_EQ(mapped->dim, static_cast<int32_t>(gen.spec().dim));
     EXPECT_EQ(mapped->quant, q);
+    EXPECT_EQ(memory.quant, q);
 
-    // The world's own groups score bit-identically through either
-    // layout: same blobs, same kernels.
+    // The world's own groups score bit-identically through the mapping
+    // and the in-memory tables: same codes, same kernels.
     for (uint64_t g = 0; g < 5; ++g) {
       const std::vector<UserId> members = gen.GroupMembers(g);
       Result<serve::GroupRep> rm = serve::BuildGroupRep(*mapped, members);
-      Result<serve::GroupRep> rh = serve::BuildGroupRep(*heap, members);
+      Result<serve::GroupRep> rh = serve::BuildGroupRep(memory, members);
       ASSERT_TRUE(rm.ok() && rh.ok());
       const std::vector<double> sm = serve::ScoreAllItems(*mapped, *rm);
-      const std::vector<double> sh = serve::ScoreAllItems(*heap, *rh);
+      const std::vector<double> sh = serve::ScoreAllItems(memory, *rh);
       ASSERT_EQ(sm.size(), sh.size());
       EXPECT_EQ(
           std::memcmp(sm.data(), sh.data(), sm.size() * sizeof(double)), 0)

@@ -266,7 +266,7 @@ TEST(OnlineTrainerTest, WarmStartsFromCheckpointAndPublishes) {
 
   // The published artifact is loadable and covers the cold tail.
   Result<serve::FrozenModel> live =
-      serve::LoadFrozenModelAuto(dir + "/live.srv");
+      serve::LoadFrozenModelMmap(dir + "/live.srv");
   ASSERT_TRUE(live.ok()) << live.status().ToString();
   EXPECT_EQ(live->num_users, world.num_users);
 

@@ -1,12 +1,11 @@
 // Quantized storage and kernel tests (DESIGN.md §11): half conversions,
-// quantization error bounds, serialization robustness, and — load-bearing
+// quantization error bounds, and — load-bearing
 // for the serving bit-identity guarantee — property tests that the
 // dispatched QGemm*/SoftmaxScoreReduce tiers match their scalar
 // references EXACTLY on this machine's selected ISA tier.
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "common/rng.h"
@@ -124,45 +123,6 @@ TEST(Quantize, Fp16AndFp32MatchScalarNarrowing) {
                 static_cast<double>(HalfToFloat(
                     FloatToHalf(static_cast<float>(t.at(r, c))))));
     }
-  }
-}
-
-TEST(QuantSerialization, RoundTripsAllTypes) {
-  Rng rng(9);
-  Tensor t(7, 13);
-  for (size_t i = 0; i < t.size(); ++i) {
-    t.data()[i] = rng.Uniform(-1.0, 1.0);
-  }
-  for (QuantType type :
-       {QuantType::kFp32, QuantType::kFp16, QuantType::kInt8}) {
-    const QuantizedMatrix q =
-        QuantizeMatrix(t, type, type == QuantType::kInt8 ? 4 : 0);
-    std::ostringstream os;
-    ASSERT_TRUE(WriteQuantizedMatrix(&os, q).ok());
-    std::istringstream is(os.str());
-    QuantizedMatrix back;
-    ASSERT_TRUE(ReadQuantizedMatrix(&is, &back).ok());
-    EXPECT_EQ(q, back) << QuantTypeName(type);
-  }
-}
-
-TEST(QuantSerialization, RejectsUnknownTypeTagAndTruncation) {
-  const QuantizedMatrix q = QuantizeMatrix(Tensor(3, 3), QuantType::kInt8);
-  std::ostringstream os;
-  ASSERT_TRUE(WriteQuantizedMatrix(&os, q).ok());
-  std::string bytes = os.str();
-
-  std::string bad = bytes;
-  bad[0] = 42;  // type tag is the first byte
-  std::istringstream is_bad(bad);
-  QuantizedMatrix out;
-  const Status s = ReadQuantizedMatrix(&is_bad, &out);
-  EXPECT_FALSE(s.ok());
-
-  for (size_t cut : {size_t{1}, bytes.size() / 2, bytes.size() - 1}) {
-    std::istringstream is_cut(bytes.substr(0, cut));
-    QuantizedMatrix out2;
-    EXPECT_FALSE(ReadQuantizedMatrix(&is_cut, &out2).ok()) << cut;
   }
 }
 

@@ -1,4 +1,4 @@
-// Serving subsystem tests: artifact round-trip + corruption rejection,
+// Serving subsystem tests: KGAGSRV2 round trip + corruption rejection,
 // the eval/serve bit-identity contract, batched-vs-solo GEMM bit
 // identity, ad-hoc group handling (single member, duplicates, order
 // independence, untrained sizes) and rank-time exclusion semantics.
@@ -13,7 +13,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "common/file_io.h"
 #include "data/synthetic/standard_datasets.h"
 #include "eval/metrics.h"
@@ -90,55 +89,76 @@ std::vector<UserId> Members(GroupId g) {
 // ---------------------------------------------------------------------------
 // Artifact format
 
-TEST_F(ServeTest, EncodeDecodeRoundTripIsByteStable) {
+/// Saves `model` as KGAGSRV2 and returns the file's bytes.
+std::string SavedBytes(const FrozenModel& model, const std::string& path) {
   std::string bytes;
-  ASSERT_TRUE(EncodeFrozenModel(*frozen_, &bytes).ok());
-  Result<FrozenModel> decoded = DecodeFrozenModel(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  std::string re_encoded;
-  ASSERT_TRUE(EncodeFrozenModel(*decoded, &re_encoded).ok());
-  EXPECT_EQ(bytes, re_encoded);
-
-  EXPECT_EQ(decoded->dim, frozen_->dim);
-  EXPECT_EQ(decoded->group_size, frozen_->group_size);
-  EXPECT_EQ(decoded->num_users, frozen_->num_users);
-  EXPECT_EQ(decoded->num_items, frozen_->num_items);
+  EXPECT_TRUE(SaveFrozenModelV2(model, path).ok());
+  EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
+  return bytes;
 }
 
 TEST_F(ServeTest, SaveLoadFileRoundTrip) {
   const std::string dir = TestTmpDir("serve_artifact");
   const std::string path = dir + "/model.srv";
-  ASSERT_TRUE(SaveFrozenModel(*frozen_, path).ok());
-  Result<FrozenModel> loaded = LoadFrozenModel(path);
+  const std::string original = SavedBytes(*frozen_, path);
+  MmapLoadOptions verify;
+  verify.verify_crc = true;
+  Result<FrozenModel> loaded = LoadFrozenModelMmap(path, verify);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::string original, reloaded;
-  ASSERT_TRUE(EncodeFrozenModel(*frozen_, &original).ok());
-  ASSERT_TRUE(EncodeFrozenModel(*loaded, &reloaded).ok());
-  EXPECT_EQ(original, reloaded);
+  EXPECT_EQ(loaded->dim, frozen_->dim);
+  EXPECT_EQ(loaded->group_size, frozen_->group_size);
+  EXPECT_EQ(loaded->num_users, frozen_->num_users);
+  EXPECT_EQ(loaded->num_items, frozen_->num_items);
+  EXPECT_EQ(SavedBytes(*loaded, dir + "/again.srv"), original);
+}
+
+/// Flips one bit at a stride of positions across the header, the blob
+/// index and every blob payload of `model`'s artifact (the zero padding
+/// between them carries nothing and is skipped); each flip must fail an
+/// eagerly CRC-checked load. Truncations and a checkpoint magic must fail
+/// too.
+void ExpectCorruptionRejected(const FrozenModel& model,
+                              const std::string& dir) {
+  const std::string bytes = SavedBytes(model, dir + "/clean.srv");
+  Result<std::shared_ptr<MappedArtifact>> clean =
+      MappedArtifact::Map(dir + "/clean.srv");
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  // magic 8 + version 4 + meta 23 + blob count 4, 41 bytes per index
+  // entry, then the header CRC.
+  const size_t header_end = 39 + (*clean)->blobs().size() * 41 + 4;
+  auto carries_data = [&](size_t pos) {
+    if (pos < header_end) return true;
+    for (const BlobEntry& e : (*clean)->blobs()) {
+      if (pos >= e.offset && pos < e.offset + e.nbytes) return true;
+    }
+    return false;
+  };
+  MmapLoadOptions verify;
+  verify.verify_crc = true;
+  const std::string path = dir + "/corrupt.srv";
+  for (size_t pos = 0; pos < bytes.size(); pos += 97) {
+    if (!carries_data(pos)) continue;
+    std::string corrupt = bytes;
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x20);
+    ASSERT_TRUE(AtomicWriteFile(path, corrupt).ok());
+    EXPECT_FALSE(LoadFrozenModelMmap(path, verify).ok())
+        << "bit flip at byte " << pos << " was not detected";
+  }
+  for (size_t len : {size_t{0}, size_t{4}, size_t{11}, bytes.size() / 2,
+                     bytes.size() - 1}) {
+    ASSERT_TRUE(AtomicWriteFile(path, bytes.substr(0, len)).ok());
+    EXPECT_FALSE(LoadFrozenModelMmap(path, verify).ok())
+        << "truncation to " << len << " bytes was not detected";
+  }
+  // A checkpoint-magic file must not load as an artifact.
+  std::string wrong_magic = bytes;
+  wrong_magic.replace(0, 8, "KGAGCKP1");
+  ASSERT_TRUE(AtomicWriteFile(path, wrong_magic).ok());
+  EXPECT_FALSE(LoadFrozenModelMmap(path, verify).ok());
 }
 
 TEST_F(ServeTest, CorruptionIsRejected) {
-  std::string bytes;
-  ASSERT_TRUE(EncodeFrozenModel(*frozen_, &bytes).ok());
-  // Flip one bit in a sample of positions across every region (header,
-  // each chunk, trailing CRCs); a stride keeps the test fast while still
-  // touching all chunk types.
-  for (size_t pos = 0; pos < bytes.size(); pos += 97) {
-    std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x20);
-    EXPECT_FALSE(DecodeFrozenModel(corrupt).ok())
-        << "bit flip at byte " << pos << " was not detected";
-  }
-  // Truncations at several depths.
-  for (size_t len : {size_t{0}, size_t{4}, size_t{11}, bytes.size() / 2,
-                     bytes.size() - 1}) {
-    EXPECT_FALSE(DecodeFrozenModel(bytes.substr(0, len)).ok())
-        << "truncation to " << len << " bytes was not detected";
-  }
-  // A checkpoint-magic file must not decode as an artifact.
-  std::string wrong_magic = bytes;
-  wrong_magic.replace(0, 8, "KGAGCKP1");
-  EXPECT_FALSE(DecodeFrozenModel(wrong_magic).ok());
+  ExpectCorruptionRejected(*frozen_, TestTmpDir("serve_corrupt"));
 }
 
 // ---------------------------------------------------------------------------
@@ -426,86 +446,19 @@ TEST_F(ServeTest, FreezingTwiceIsByteIdentical) {
   ASSERT_TRUE(model.ok());
   Result<FrozenModel> again = FreezeKgagModel(model->get());
   ASSERT_TRUE(again.ok());
-  std::string bytes_a, bytes_b;
-  ASSERT_TRUE(EncodeFrozenModel(*frozen_, &bytes_a).ok());
-  ASSERT_TRUE(EncodeFrozenModel(*again, &bytes_b).ok());
-  EXPECT_EQ(bytes_a, bytes_b);
+  const std::string dir = TestTmpDir("serve_freeze_twice");
+  EXPECT_EQ(SavedBytes(*frozen_, dir + "/a.srv"),
+            SavedBytes(*again, dir + "/b.srv"));
 }
 
 // ---------------------------------------------------------------------------
 // Quantized artifacts (DESIGN.md §11)
 
-TEST_F(ServeTest, Fp64ArtifactCarriesNoQuantChunk) {
-  // Backward compatibility both ways: full-precision artifacts encode
-  // byte-identically to the pre-quantization format (no QNTM chunk), so
-  // old readers keep working and fp32-era golden files keep matching.
-  std::string bytes;
-  ASSERT_TRUE(EncodeFrozenModel(*frozen_, &bytes).ok());
-  EXPECT_EQ(bytes.find("QNTM"), std::string::npos);
-  EXPECT_EQ(bytes.find("QUSR"), std::string::npos);
-  EXPECT_NE(bytes.find("UEMB"), std::string::npos);
-}
-
-TEST_F(ServeTest, QuantizedArtifactsRoundTripByteStably) {
-  for (QuantType type :
-       {QuantType::kFp32, QuantType::kFp16, QuantType::kInt8}) {
-    Result<FrozenModel> q = QuantizeFrozenModel(
-        *frozen_, type, type == QuantType::kInt8 ? 8 : 0);
-    ASSERT_TRUE(q.ok()) << q.status().ToString();
-    std::string bytes;
-    ASSERT_TRUE(EncodeFrozenModel(*q, &bytes).ok());
-    EXPECT_NE(bytes.find("QNTM"), std::string::npos);
-    Result<FrozenModel> decoded = DecodeFrozenModel(bytes);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->quant, type);
-    EXPECT_EQ(decoded->q_user, q->q_user);
-    EXPECT_EQ(decoded->q_item, q->q_item);
-    std::string re_encoded;
-    ASSERT_TRUE(EncodeFrozenModel(*decoded, &re_encoded).ok());
-    EXPECT_EQ(bytes, re_encoded) << QuantTypeName(type);
-  }
-}
-
-TEST_F(ServeTest, UnknownQuantTypeTagIsRejectedWithClearError) {
-  Result<FrozenModel> q =
-      QuantizeFrozenModel(*frozen_, QuantType::kInt8, 0);
-  ASSERT_TRUE(q.ok());
-  std::string bytes;
-  ASSERT_TRUE(EncodeFrozenModel(*q, &bytes).ok());
-  // Patch the QNTM payload's type byte through the chunk layer so the
-  // CRCs stay valid — simulating an artifact written by a newer build
-  // with a quant tier this reader does not know.
-  std::vector<ckpt::Chunk> chunks;
-  ASSERT_TRUE(ckpt::DecodeContainer("KGAGSRV1", bytes, &chunks).ok());
-  bool patched = false;
-  for (ckpt::Chunk& c : chunks) {
-    if (c.tag == ckpt::MakeTag('Q', 'N', 'T', 'M')) {
-      c.payload[0] = 42;
-      patched = true;
-    }
-  }
-  ASSERT_TRUE(patched);
-  std::string evil;
-  ASSERT_TRUE(ckpt::EncodeContainer("KGAGSRV1", chunks, &evil).ok());
-  Result<FrozenModel> decoded = DecodeFrozenModel(evil);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().ToString().find("unknown quantization type"),
-            std::string::npos)
-      << decoded.status().ToString();
-}
-
 TEST_F(ServeTest, QuantizedArtifactCorruptionIsRejected) {
   Result<FrozenModel> q =
       QuantizeFrozenModel(*frozen_, QuantType::kInt8, 0);
   ASSERT_TRUE(q.ok());
-  std::string bytes;
-  ASSERT_TRUE(EncodeFrozenModel(*q, &bytes).ok());
-  for (size_t pos = 0; pos < bytes.size(); pos += 97) {
-    std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x20);
-    EXPECT_FALSE(DecodeFrozenModel(corrupt).ok())
-        << "bit flip at byte " << pos << " was not detected";
-  }
+  ExpectCorruptionRejected(*q, TestTmpDir("serve_corrupt_int8"));
 }
 
 TEST_F(ServeTest, QuantizeFrozenModelValidatesInput) {
@@ -523,10 +476,13 @@ TEST_F(ServeTest, QuantizeFrozenModelValidatesInput) {
   Result<FrozenModel> same =
       QuantizeFrozenModel(*frozen_, QuantType::kFp64, 0);
   ASSERT_TRUE(same.ok());
-  std::string a, b;
-  ASSERT_TRUE(EncodeFrozenModel(*frozen_, &a).ok());
-  ASSERT_TRUE(EncodeFrozenModel(*same, &b).ok());
-  EXPECT_EQ(a, b);
+  const std::string dir = TestTmpDir("serve_quant_identity");
+  const std::string path = dir + "/a.srv";
+  EXPECT_EQ(SavedBytes(*frozen_, path), SavedBytes(*same, dir + "/b.srv"));
+  // A mapped model is not quantized in place.
+  Result<FrozenModel> mapped = LoadFrozenModelMmap(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(QuantizeFrozenModel(*mapped, QuantType::kFp16, 0).ok());
 }
 
 TEST_F(ServeTest, QuantizedServingMatchesQuantizedEvalBitwise) {

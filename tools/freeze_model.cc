@@ -7,17 +7,14 @@
 //   --checkpoint_dir=DIR    the newest intact training checkpoint, or
 //   --epochs=N              trains N epochs right here (default 4),
 // then runs the propagation layers once per entity and writes the
-// KGAGSRV1 artifact to --out (atomic write). The artifact is read back
-// and re-encoded afterwards to prove the round trip is byte-stable.
+// KGAGSRV2 artifact (DESIGN.md §14) to --out (atomic write). The artifact
+// is mapped back with every blob CRC checked and re-saved afterwards to
+// prove the round trip is byte-stable.
 //
 // --precision={fp64,fp32,fp16,int8} quantizes the frozen rep tables at
 // freeze time (DESIGN.md §11); --quant-block=B uses per-block int8
 // scales (0 = per-row). The round-trip proof prints bytes-per-entity so
 // the storage win is visible in the log.
-//
-// --layout={v1,mmap} picks the artifact format: v1 is the legacy chunked
-// container (decode-to-heap at load), mmap is the KGAGSRV2 zero-copy
-// layout (DESIGN.md §14) the server maps directly.
 //
 // --bigworld switches to the synthetic serving-scale world (no training):
 // rep tables, attention, groups and KG all derive deterministically from
@@ -28,7 +25,7 @@
 //   ./build/tools/freeze_model --out model.srv
 //   ./build/tools/freeze_model --out model.srv --precision=int8
 //   ./build/tools/freeze_model --out model.srv --checkpoint_dir runs/ckpt
-//   ./build/tools/freeze_model --out world.srv2 --layout=mmap --bigworld
+//   ./build/tools/freeze_model --out world.srv2 --bigworld
 //       --users=1000000 --items=100000 --precision=fp16
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +53,6 @@ struct Flags {
   int epochs = 4;
   kgag::QuantType precision = kgag::QuantType::kFp64;
   uint32_t quant_block = 0;
-  bool mmap_layout = false;  ///< --layout=mmap -> KGAGSRV2
   bool bigworld = false;
   uint64_t users = 1'000'000;
   uint64_t items = 100'000;
@@ -91,15 +87,6 @@ Flags Parse(int argc, char** argv) {
       f.quant_block = static_cast<uint32_t>(std::atoi(vb));
     } else if (const char* vb2 = val("--quant_block")) {
       f.quant_block = static_cast<uint32_t>(std::atoi(vb2));
-    } else if (const char* vl = val("--layout")) {
-      if (std::string(vl) == "mmap") {
-        f.mmap_layout = true;
-      } else if (std::string(vl) == "v1") {
-        f.mmap_layout = false;
-      } else {
-        std::fprintf(stderr, "bad --layout (want v1|mmap): %s\n", vl);
-        std::exit(2);
-      }
     } else if (arg == "--bigworld") {
       f.bigworld = true;
     } else if (const char* vu = val("--users")) {
@@ -142,23 +129,20 @@ int RunBigWorld(const Flags& flags) {
   opt.chunk_rows = flags.chunk_rows;
 
   Stopwatch watch;
-  const Status s = flags.mmap_layout
-                       ? serve::FreezeBigWorldV2(gen, opt, flags.out)
-                       : serve::FreezeBigWorldV1(gen, opt, flags.out);
+  const Status s = serve::FreezeBigWorldV2(gen, opt, flags.out);
   if (!s.ok()) {
     std::fprintf(stderr, "bigworld freeze: %s\n", s.ToString().c_str());
     return 1;
   }
   const double freeze_ms = watch.ElapsedMicros() / 1000.0;
 
-  // Round-trip proof: the artifact must load (v2: header + every blob
-  // CRC; v1: full decode) and agree with the spec's shape.
+  // Round-trip proof: the artifact must map with its header and every
+  // blob CRC verified, and agree with the spec's shape.
   watch.Restart();
   serve::MmapLoadOptions verify;
   verify.verify_crc = true;
   Result<serve::FrozenModel> loaded =
-      flags.mmap_layout ? serve::LoadFrozenModelMmap(flags.out, verify)
-                        : serve::LoadFrozenModel(flags.out);
+      serve::LoadFrozenModelMmap(flags.out, verify);
   if (!loaded.ok()) {
     std::fprintf(stderr, "bigworld verify: %s\n",
                  loaded.status().ToString().c_str());
@@ -172,11 +156,10 @@ int RunBigWorld(const Flags& flags) {
   }
 
   std::printf(
-      "wrote %s (%s layout): %llu users x %llu items, dim %u, group size "
+      "wrote %s (KGAGSRV2): %llu users x %llu items, dim %u, group size "
       "%u, precision %s (%zu rep bytes/entity); freeze %.1f ms (streamed, "
       "chunk %llu rows), verify+CRC %.1f ms\n",
-      flags.out.c_str(), flags.mmap_layout ? "mmap/KGAGSRV2" : "v1/KGAGSRV1",
-      static_cast<unsigned long long>(spec.num_users),
+      flags.out.c_str(), static_cast<unsigned long long>(spec.num_users),
       static_cast<unsigned long long>(spec.num_items), spec.dim,
       spec.group_size, QuantTypeName(flags.precision),
       serve::RepBytesPerEntity(*loaded), freeze_ms,
@@ -191,7 +174,7 @@ int main(int argc, char** argv) {
   const Flags flags = Parse(argc, argv);
   if (flags.out.empty()) {
     std::fprintf(stderr,
-                 "usage: freeze_model --out=FILE [--layout=v1|mmap] "
+                 "usage: freeze_model --out=FILE "
                  "[--params=FILE | --checkpoint_dir=DIR | --epochs=N] "
                  "[--scale=S] [--seed=N] | --bigworld [--users=N --items=N "
                  "--groups=N --dim=D --group-size=L --chunk-rows=N]\n");
@@ -256,37 +239,27 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  Status s = flags.mmap_layout ? serve::SaveFrozenModelV2(*frozen, flags.out)
-                               : serve::SaveFrozenModel(*frozen, flags.out);
+  Status s = serve::SaveFrozenModelV2(*frozen, flags.out);
   if (!s.ok()) {
     std::fprintf(stderr, "save: %s\n", s.ToString().c_str());
     return 1;
   }
 
-  // Round-trip check: load the artifact back and re-encode (v1 through
-  // the heap decoder, v2 through the mmap loader with every blob CRC
-  // checked); the bytes must match what is on disk.
+  // Round-trip check: map the artifact back with every blob CRC checked
+  // and re-save it from the mapping; the bytes must match what is on disk.
   std::string on_disk;
   Status read = ReadFileToString(flags.out, &on_disk);
   std::string re_encoded;
-  Status enc;
-  if (flags.mmap_layout) {
-    serve::MmapLoadOptions verify;
-    verify.verify_crc = true;
-    Result<serve::FrozenModel> loaded =
-        serve::LoadFrozenModelMmap(flags.out, verify);
-    if (loaded.ok()) {
-      const std::string tmp = flags.out + ".rt";
-      enc = serve::SaveFrozenModelV2(*loaded, tmp);
-      if (enc.ok()) enc = ReadFileToString(tmp, &re_encoded);
-      std::remove(tmp.c_str());
-    } else {
-      enc = loaded.status();
-    }
-  } else {
-    Result<serve::FrozenModel> loaded = serve::LoadFrozenModel(flags.out);
-    enc = loaded.ok() ? serve::EncodeFrozenModel(*loaded, &re_encoded)
-                      : loaded.status();
+  serve::MmapLoadOptions verify;
+  verify.verify_crc = true;
+  Result<serve::FrozenModel> loaded =
+      serve::LoadFrozenModelMmap(flags.out, verify);
+  Status enc = loaded.status();
+  if (loaded.ok()) {
+    const std::string tmp = flags.out + ".rt";
+    enc = serve::SaveFrozenModelV2(*loaded, tmp);
+    if (enc.ok()) enc = ReadFileToString(tmp, &re_encoded);
+    std::remove(tmp.c_str());
   }
   if (!read.ok() || !enc.ok() || re_encoded != on_disk) {
     std::fprintf(stderr, "round-trip verification FAILED\n");
@@ -294,12 +267,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "wrote %s (%s layout): %zu bytes, %d users x %d items, dim %d, "
+      "wrote %s (KGAGSRV2): %zu bytes, %d users x %d items, dim %d, "
       "group size %d (sp=%d pi=%d), precision %s (%zu rep bytes/entity); "
       "round-trip byte-stable\n",
-      flags.out.c_str(), flags.mmap_layout ? "mmap/KGAGSRV2" : "v1/KGAGSRV1",
-      on_disk.size(), frozen->num_users, frozen->num_items, frozen->dim,
-      frozen->group_size, frozen->use_sp ? 1 : 0, frozen->use_pi ? 1 : 0,
-      QuantTypeName(frozen->quant), serve::RepBytesPerEntity(*frozen));
+      flags.out.c_str(), on_disk.size(), frozen->num_users, frozen->num_items,
+      frozen->dim, frozen->group_size, frozen->use_sp ? 1 : 0,
+      frozen->use_pi ? 1 : 0, QuantTypeName(frozen->quant),
+      serve::RepBytesPerEntity(*frozen));
   return 0;
 }

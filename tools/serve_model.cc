@@ -2,7 +2,8 @@
 // data-plane front-end (DESIGN.md §13) and the live introspection
 // endpoint (DESIGN.md §12) attached.
 //
-// Loads the KGAGSRV1 artifact from --artifact, builds a
+// Maps the KGAGSRV2 artifact at --artifact (LoadFrozenModelMmap, O(header)
+// startup; DESIGN.md §14), builds a
 // continuous-batching ServingEngine with the default serving SLOs,
 // enables request tracing, and serves /metrics, /healthz, /statusz and
 // /tracez on --port plus the binary/HTTP data plane (net_server.h) on
@@ -15,7 +16,7 @@
 // S seconds; 0 serves until SIGINT/SIGTERM.
 //
 // Zero-downtime artifact refresh (DESIGN.md §15) — three triggers, one
-// path (LoadFrozenModelAuto + ServingEngine::SwapModel; in-flight
+// path (LoadFrozenModelMmap + ServingEngine::SwapModel; in-flight
 // batches drain on the old version, new admissions bind the new one):
 //   --watch            poll the artifact path; reload when its
 //                      (mtime, size) changes and holds stable for one
@@ -116,15 +117,10 @@ void ExportArtifactGauges(const kgag::serve::FrozenModel& model,
                           uint64_t load_micros) {
   KGAG_GAUGE_SET("serve.artifact.load_micros",
                  static_cast<double>(load_micros));
-  KGAG_GAUGE_SET("serve.artifact.layout_version", model.is_mapped() ? 2 : 1);
   KGAG_GAUGE_SET("serve.artifact.mapped_bytes",
-                 model.is_mapped()
-                     ? static_cast<double>(model.mapping->mapped_bytes())
-                     : 0);
+                 static_cast<double>(model.mapping->mapped_bytes()));
   KGAG_GAUGE_SET("serve.artifact.resident_bytes",
-                 model.is_mapped()
-                     ? static_cast<double>(model.mapping->ResidentBytes())
-                     : 0);
+                 static_cast<double>(model.mapping->ResidentBytes()));
 }
 
 /// \brief Serializes reload triggers (watcher thread, /reload handler,
@@ -141,7 +137,7 @@ class Reloader {
     std::lock_guard<std::mutex> lock(mu_);
     kgag::Stopwatch watch;
     kgag::Result<kgag::serve::FrozenModel> loaded =
-        kgag::serve::LoadFrozenModelAuto(path_);
+        kgag::serve::LoadFrozenModelMmap(path_);
     if (!loaded.ok()) {
       ++failures_;
       last_error_ = loaded.status().ToString();
@@ -259,11 +255,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Auto-detect the artifact layout from its magic: KGAGSRV2 mmaps
-  // zero-copy, KGAGSRV1 decodes to heap (back-compat).
   Stopwatch load_watch;
   Result<serve::FrozenModel> loaded =
-      serve::LoadFrozenModelAuto(flags.artifact);
+      serve::LoadFrozenModelMmap(flags.artifact);
   const uint64_t load_micros = load_watch.ElapsedMicros();
   if (!loaded.ok()) {
     std::fprintf(stderr, "artifact: %s\n",
@@ -278,7 +272,8 @@ int main(int argc, char** argv) {
   std::printf(
       "loaded %s (%s): %d users x %d items, dim %d, precision %s, "
       "%.1f ms\n",
-      flags.artifact.c_str(), model->is_mapped() ? "mmap" : "heap",
+      flags.artifact.c_str(),
+      model->mapping->is_mmap() ? "mmap" : "owned buffer",
       model->num_users, model->num_items, model->dim,
       QuantTypeName(model->quant), load_micros / 1000.0);
 
@@ -316,15 +311,13 @@ int main(int argc, char** argv) {
     return resp;
   });
   // Refresh derived gauges on every scrape so /metrics never shows a
-  // stale burn rate (or, for a mapping, stale residency — pages fault in
-  // as queries touch them).
+  // stale burn rate or stale residency (pages fault in as queries touch
+  // them).
   server.SetRefresh([&] {
     if (engine.slo() != nullptr) engine.slo()->ExportGauges();
     const std::shared_ptr<const serve::FrozenModel> live = engine.model_ref();
-    if (live->is_mapped()) {
-      KGAG_GAUGE_SET("serve.artifact.resident_bytes",
-                     live->mapping->ResidentBytes());
-    }
+    KGAG_GAUGE_SET("serve.artifact.resident_bytes",
+                   live->mapping->ResidentBytes());
   });
   Status started = server.Start();
   if (!started.ok()) {
