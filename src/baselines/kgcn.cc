@@ -1,10 +1,20 @@
 #include "baselines/kgcn.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/logging.h"
 #include "models/losses.h"
 #include "models/validation.h"
 
 namespace kgag {
+
+namespace {
+
+/// Users per AllUserScores propagation pass.
+constexpr size_t kUserBlock = 64;
+
+}  // namespace
 
 KgcnGroupRecommender::KgcnGroupRecommender(const GroupRecDataset* dataset,
                                            KgcnConfig config,
@@ -132,6 +142,7 @@ void KgcnGroupRecommender::Fit() {
 
 const std::vector<SampledTree>& KgcnGroupRecommender::EvalTrees(
     EntityId item_entity) {
+  std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = eval_trees_.find(item_entity);
   if (it == eval_trees_.end()) {
     // Per-node seed: order-independent eval trees (see KgagModel).
@@ -149,31 +160,41 @@ const std::vector<SampledTree>& KgcnGroupRecommender::EvalTrees(
 }
 
 const std::vector<double>& KgcnGroupRecommender::AllUserScores(ItemId v) {
-  if (!cache_valid_) {
-    score_cache_.clear();
-    cache_valid_ = true;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (!cache_valid_) {
+      score_cache_.clear();
+      cache_valid_ = true;
+    }
+    auto it = score_cache_.find(v);
+    if (it != score_cache_.end()) return it->second;
   }
-  auto it = score_cache_.find(v);
-  if (it != score_cache_.end()) return it->second;
 
-  // One batched propagation with every user embedding as a query,
-  // averaged over the eval receptive-field samples.
-  const Tensor& queries = user_table_->value;  // (m x d)
+  // Every user embedding is a query for the item's propagation, averaged
+  // over the eval receptive-field samples. Computed outside the lock: two
+  // workers racing on the same item produce identical rows. Users go
+  // through in blocks, so the tape holds one block's tree layers rather
+  // than every user's; a block's rows equal its one-query passes bit for
+  // bit, so the block size does not change the scores.
+  const Tensor& users = user_table_->value;  // (m x d)
+  const size_t d = users.cols();
   const std::vector<SampledTree>& trees =
       EvalTrees(dataset_->item_to_entity[v]);
-  Tensor reps = propagation_->PropagateBatch(trees[0], queries);
-  for (size_t s = 1; s < trees.size(); ++s) {
-    reps.Add(propagation_->PropagateBatch(trees[s], queries));
-  }
-  reps.Scale(1.0 / static_cast<double>(trees.size()));
-  std::vector<double> scores(static_cast<size_t>(dataset_->num_users));
-  for (size_t u = 0; u < scores.size(); ++u) {
-    Scalar s = 0;
-    for (size_t c = 0; c < reps.cols(); ++c) {
-      s += queries.at(u, c) * reps.at(u, c);
+  Tape tape;
+  std::vector<double> scores(users.rows());
+  for (size_t b = 0; b < users.rows(); b += kUserBlock) {
+    const size_t rows = std::min(kUserBlock, users.rows() - b);
+    Tensor queries(rows, d);
+    std::memcpy(queries.data(), users.data() + b * d,
+                rows * d * sizeof(Scalar));
+    const Tensor reps = propagation_->PropagateMean(&tape, trees, queries);
+    for (size_t u = 0; u < rows; ++u) {
+      Scalar s = 0;
+      for (size_t c = 0; c < d; ++c) s += queries.at(u, c) * reps.at(u, c);
+      scores[b + u] = s;
     }
-    scores[u] = s;
   }
+  std::lock_guard<std::mutex> lock(cache_mu_);
   return score_cache_.emplace(v, std::move(scores)).first->second;
 }
 

@@ -10,6 +10,7 @@
 #define KGAG_BASELINES_KGCN_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -63,6 +64,7 @@ class KgcnGroupRecommender : public TrainableGroupRecommender,
   const std::vector<SampledTree>& EvalTrees(EntityId item_entity);
 
   /// All-user scores for one item (lazy cache; queries = user table).
+  /// Safe to call from concurrent evaluator workers.
   const std::vector<double>& AllUserScores(ItemId v);
 
   const GroupRecDataset* dataset_;
@@ -77,6 +79,9 @@ class KgcnGroupRecommender : public TrainableGroupRecommender,
   std::unique_ptr<Optimizer> optimizer_;
   Batcher batcher_;
   Rng train_rng_;
+  /// Guards the two lazily filled eval caches below. Callers keep
+  /// references to mapped values: they survive rehashing.
+  std::mutex cache_mu_;
   std::unordered_map<EntityId, std::vector<SampledTree>> eval_trees_;
   std::unordered_map<ItemId, std::vector<double>> score_cache_;
   bool cache_valid_ = false;

@@ -1,7 +1,5 @@
 #include "models/attention.h"
 
-#include <cmath>
-
 #include "obs/obs.h"
 
 namespace kgag {
@@ -24,177 +22,73 @@ PreferenceAggregator::PreferenceAggregator(int dim, int group_size,
   }
 }
 
+PreferenceAggregator::AttentionVars PreferenceAggregator::Attend(
+    Tape* tape, Var member_reps, Var item_reps) const {
+  const size_t l = static_cast<size_t>(group_size_);
+  const size_t p = tape->value(item_reps).rows();
+  KGAG_CHECK_EQ(tape->value(member_reps).rows(), p * l);
+
+  AttentionVars out;
+  if (use_sp_) {
+    out.sp = tape->RowDot(member_reps, tape->RepeatRows(item_reps, l));
+  }
+  if (use_pi_) {
+    Var pre = tape->MatMul(member_reps, tape->Leaf(w1_));  // (PL x d)
+    if (w2_ != nullptr) {
+      // Row p·L + i of the peer matrix concatenates candidate p's other
+      // members in member order: (PL x d(L-1)).
+      std::vector<size_t> peers;
+      peers.reserve(p * l * (l - 1));
+      for (size_t q = 0; q < p; ++q) {
+        for (size_t i = 0; i < l; ++i) {
+          for (size_t j = 0; j < l; ++j) {
+            if (j != i) peers.push_back(q * l + j);
+          }
+        }
+      }
+      Var peer_cat = tape->Reshape(tape->Rows(member_reps, peers), p * l,
+                                   static_cast<size_t>(dim_) * (l - 1));
+      pre = tape->Add(pre, tape->MatMul(peer_cat, tape->Leaf(w2_)));
+    }
+    Var hidden = tape->Relu(tape->AddRowBroadcast(pre, tape->Leaf(bias_)));
+    out.pi = tape->MatMul(hidden, tape->Leaf(vc_));  // (PL x 1)
+  }
+
+  Var raw;  // (PL x 1) raw importances
+  if (out.sp.valid() && out.pi.valid()) {
+    raw = tape->Add(out.sp, out.pi);
+  } else if (out.sp.valid() || out.pi.valid()) {
+    raw = out.sp.valid() ? out.sp : out.pi;
+  } else {
+    // Both attention parts ablated: uniform aggregation.
+    raw = tape->Constant(Tensor(p * l, 1, 0.0));
+  }
+  out.alpha = tape->SoftmaxRows(tape->Reshape(raw, p, l));  // (P x L)
+  return out;
+}
+
 Var PreferenceAggregator::AggregateOnTape(Tape* tape, Var member_reps,
-                                          Var item_rep) const {
+                                          Var item_reps) const {
   KGAG_TRACE_SPAN("attention.aggregate");
   KGAG_COUNTER_ADD("attention.aggregate.calls", 1);
-  const size_t l = static_cast<size_t>(group_size_);
-  KGAG_CHECK_EQ(tape->value(member_reps).rows(), l);
-
-  Var alpha;  // (L x 1) raw importances
-  bool have_alpha = false;
-  if (use_sp_) {
-    alpha = tape->RowDot(member_reps, tape->RepeatRows(item_rep, l));
-    have_alpha = true;
-  }
-  if (use_pi_) {
-    Var w1 = tape->Leaf(w1_);
-    Var b = tape->Leaf(bias_);
-    Var vc = tape->Leaf(vc_);
-    Var w2;
-    if (w2_ != nullptr) w2 = tape->Leaf(w2_);
-    std::vector<Var> pi_rows;
-    pi_rows.reserve(l);
-    for (size_t i = 0; i < l; ++i) {
-      Var u = tape->SliceRow(member_reps, i);
-      Var pre = tape->MatMul(u, w1);
-      if (w2_ != nullptr) {
-        std::vector<Var> peers;
-        peers.reserve(l - 1);
-        for (size_t j = 0; j < l; ++j) {
-          if (j != i) peers.push_back(tape->SliceRow(member_reps, j));
-        }
-        Var peer_cat = tape->ConcatCols(peers);  // (1 x d(L-1))
-        pre = tape->Add(pre, tape->MatMul(peer_cat, w2));
-      }
-      Var hidden = tape->Relu(tape->Add(pre, b));
-      pi_rows.push_back(tape->MatMul(hidden, vc));  // (1 x 1)
-    }
-    Var pi = tape->ConcatRows(pi_rows);  // (L x 1)
-    alpha = have_alpha ? tape->Add(alpha, pi) : pi;
-    have_alpha = true;
-  }
-  if (!have_alpha) {
-    // Both attention parts ablated: uniform aggregation.
-    alpha = tape->Constant(Tensor(l, 1, 0.0));
-  }
-
-  Var norm = tape->SoftmaxRows(tape->Reshape(alpha, 1, l));  // (1 x L)
-  return tape->MatMul(norm, member_reps);                    // (1 x d)
-}
-
-std::vector<double> PreferenceAggregator::PeerInfluenceRaw(
-    const Tensor& member_reps) const {
-  const size_t l = member_reps.rows();
-  std::vector<double> pi(l, 0.0);
-  if (!use_pi_) return pi;
-  for (size_t i = 0; i < l; ++i) {
-    Tensor u = member_reps.RowAt(i);
-    Tensor pre = MatMul(u, w1_->value);  // (1 x d)
-    if (w2_ != nullptr) {
-      Tensor peers(1, static_cast<size_t>(dim_) * (l - 1));
-      size_t off = 0;
-      for (size_t j = 0; j < l; ++j) {
-        if (j == i) continue;
-        for (int c = 0; c < dim_; ++c) {
-          peers.at(0, off + c) = member_reps.at(j, static_cast<size_t>(c));
-        }
-        off += static_cast<size_t>(dim_);
-      }
-      pre.Add(MatMul(peers, w2_->value));
-    }
-    pre.Add(bias_->value);
-    pre.Apply([](Scalar x) { return x > 0 ? x : 0.0; });
-    pi[i] = MatMul(pre, vc_->value).item();
-  }
-  return pi;
-}
-
-Tensor PreferenceAggregator::AggregateBatch(
-    const std::vector<Tensor>& member_reps, const Tensor& item_reps) const {
-  KGAG_TRACE_SPAN("attention.batch");
-  KGAG_COUNTER_ADD("attention.batch.calls", 1);
-  const size_t l = member_reps.size();
-  KGAG_CHECK_EQ(l, static_cast<size_t>(group_size_));
-  const size_t p = item_reps.rows();
-  const size_t d = static_cast<size_t>(dim_);
-
-  Tensor alpha(p, l);  // raw importances per candidate item
-  if (use_sp_) {
-    for (size_t i = 0; i < l; ++i) {
-      const Tensor& u = member_reps[i];
-      for (size_t r = 0; r < p; ++r) {
-        Scalar s = 0;
-        for (size_t c = 0; c < d; ++c) s += u.at(r, c) * item_reps.at(r, c);
-        alpha.at(r, i) += s;
-      }
-    }
-  }
-  if (use_pi_) {
-    for (size_t i = 0; i < l; ++i) {
-      Tensor pre = MatMul(member_reps[i], w1_->value);  // (P x d)
-      if (w2_ != nullptr) {
-        Tensor peers(p, d * (l - 1));
-        size_t off = 0;
-        for (size_t j = 0; j < l; ++j) {
-          if (j == i) continue;
-          for (size_t r = 0; r < p; ++r) {
-            for (size_t c = 0; c < d; ++c) {
-              peers.at(r, off + c) = member_reps[j].at(r, c);
-            }
-          }
-          off += d;
-        }
-        pre.Add(MatMul(peers, w2_->value));
-      }
-      for (size_t r = 0; r < p; ++r) pre.AddToRow(r, bias_->value);
-      pre.Apply([](Scalar x) { return x > 0 ? x : 0.0; });
-      Tensor pi = MatMul(pre, vc_->value);  // (P x 1)
-      for (size_t r = 0; r < p; ++r) alpha.at(r, i) += pi.at(r, 0);
-    }
-  }
-
-  // Row-wise softmax over members.
-  for (size_t r = 0; r < p; ++r) {
-    Scalar mx = alpha.at(r, 0);
-    for (size_t c = 1; c < l; ++c) mx = std::max(mx, alpha.at(r, c));
-    Scalar sum = 0;
-    for (size_t c = 0; c < l; ++c) {
-      alpha.at(r, c) = std::exp(alpha.at(r, c) - mx);
-      sum += alpha.at(r, c);
-    }
-    for (size_t c = 0; c < l; ++c) alpha.at(r, c) /= sum;
-  }
-
-  Tensor group(p, d);
-  for (size_t i = 0; i < l; ++i) {
-    const Tensor& u = member_reps[i];
-    for (size_t r = 0; r < p; ++r) {
-      const Scalar a = alpha.at(r, i);
-      for (size_t c = 0; c < d; ++c) group.at(r, c) += a * u.at(r, c);
-    }
-  }
-  return group;
+  const AttentionVars att = Attend(tape, member_reps, item_reps);
+  return tape->SegmentWeightedSumRows(att.alpha, member_reps);  // (P x d)
 }
 
 AttentionBreakdown PreferenceAggregator::Explain(const Tensor& member_reps,
                                                  const Tensor& item_rep) const {
+  Tape tape;
+  const AttentionVars att = Attend(&tape, tape.Constant(member_reps),
+                                   tape.Constant(item_rep));
   const size_t l = member_reps.rows();
-  AttentionBreakdown out;
-  out.sp.assign(l, 0.0);
-  if (use_sp_) {
-    for (size_t i = 0; i < l; ++i) {
-      Scalar s = 0;
-      for (size_t c = 0; c < member_reps.cols(); ++c) {
-        s += member_reps.at(i, c) * item_rep.at(0, c);
-      }
-      out.sp[i] = s;
+  auto per_member = [&](Var v) {
+    std::vector<double> out(l, 0.0);
+    if (v.valid()) {
+      for (size_t i = 0; i < l; ++i) out[i] = tape.value(v)[i];
     }
-  }
-  out.pi = PeerInfluenceRaw(member_reps);
-  out.alpha.assign(l, 0.0);
-  Scalar mx = -1e300;
-  for (size_t i = 0; i < l; ++i) {
-    out.alpha[i] = out.sp[i] + out.pi[i];
-    mx = std::max(mx, Scalar(out.alpha[i]));
-  }
-  Scalar sum = 0;
-  for (size_t i = 0; i < l; ++i) {
-    out.alpha[i] = std::exp(out.alpha[i] - mx);
-    sum += out.alpha[i];
-  }
-  for (size_t i = 0; i < l; ++i) out.alpha[i] /= sum;
-  return out;
+    return out;
+  };
+  return {per_member(att.sp), per_member(att.pi), per_member(att.alpha)};
 }
 
 }  // namespace kgag

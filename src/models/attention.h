@@ -5,6 +5,10 @@
 //   α = softmax(α_SP + α_PI);  g = Σ α̃_i u_i       (Eq. 11–13)
 // The concat in PI fixes the group size at construction (the paper's
 // datasets have uniform group sizes: 8/5/3).
+//
+// AggregateOnTape is the one forward definition: training runs it for one
+// candidate item, evaluation for P candidates at once, and Explain reads
+// the attention terms out of the same computation.
 #ifndef KGAG_MODELS_ATTENTION_H_
 #define KGAG_MODELS_ATTENTION_H_
 
@@ -32,15 +36,11 @@ class PreferenceAggregator {
   PreferenceAggregator(int dim, int group_size, bool use_sp, bool use_pi,
                        ParameterStore* store, Rng* init_rng);
 
-  /// Differentiable aggregation: member_reps (L x d), item_rep (1 x d)
-  /// -> group representation (1 x d).
-  Var AggregateOnTape(Tape* tape, Var member_reps, Var item_rep) const;
-
-  /// Inference aggregation for P candidate items at once: member_reps[i]
-  /// is (P x d) for member i, item_reps is (P x d); returns group reps
-  /// (P x d).
-  Tensor AggregateBatch(const std::vector<Tensor>& member_reps,
-                        const Tensor& item_reps) const;
+  /// Differentiable aggregation for P candidate items: member_reps
+  /// (P·L x d) is query-major (row p·L + i is member i's representation
+  /// for candidate p), item_reps is (P x d); returns the group
+  /// representations (P x d).
+  Var AggregateOnTape(Tape* tape, Var member_reps, Var item_reps) const;
 
   /// Attention values for one (group, item): member_reps (L x d),
   /// item_rep (1 x d).
@@ -50,8 +50,14 @@ class PreferenceAggregator {
   int group_size() const { return group_size_; }
 
  private:
-  /// Raw (pre-softmax) α_PI for all members; tensor-math path.
-  std::vector<double> PeerInfluenceRaw(const Tensor& member_reps) const;
+  /// Attention terms on the tape: α_SP and α_PI as (P·L x 1) columns
+  /// (invalid Vars when ablated) and the normalized α as (P x L).
+  struct AttentionVars {
+    Var sp;
+    Var pi;
+    Var alpha;
+  };
+  AttentionVars Attend(Tape* tape, Var member_reps, Var item_reps) const;
 
   int dim_;
   int group_size_;

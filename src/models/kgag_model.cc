@@ -1,6 +1,7 @@
 #include "models/kgag_model.h"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/binary_io.h"
@@ -180,7 +181,10 @@ Status KgagModel::RefreshInteractions(
   ckg_ = std::move(next);
   // Receptive fields cached for eval/freeze were sampled on the old
   // adjacency; drop them so the next freeze sees the new edges.
-  eval_trees_.clear();
+  {
+    std::lock_guard<std::mutex> lock(eval_trees_mu_);
+    eval_trees_.clear();
+  }
   batcher_.RefreshFromDataset();
   return Status::OK();
 }
@@ -518,7 +522,22 @@ Status KgagModel::RestoreTrainingState(const ckpt::TrainingState& state,
   return Status::OK();
 }
 
+namespace {
+
+/// Candidates per ScoreGroup attention pass.
+constexpr size_t kScoreBlock = 64;
+
+/// Per-thread tape for forward-only passes (evaluation, freezing); it
+/// never runs Backward and is cleared after every pass.
+Tape& EvalTape() {
+  thread_local Tape tape;
+  return tape;
+}
+
+}  // namespace
+
 const std::vector<SampledTree>& KgagModel::EvalTrees(EntityId node) {
+  std::lock_guard<std::mutex> lock(eval_trees_mu_);
   auto it = eval_trees_.find(node);
   if (it == eval_trees_.end()) {
     // Per-node seed: eval trees must not depend on the order nodes are
@@ -539,12 +558,8 @@ Tensor KgagModel::PropagateEval(EntityId node, const Tensor& queries) {
   const std::vector<SampledTree>& trees = EvalTrees(node);
   const size_t use = std::min<size_t>(
       trees.size(), static_cast<size_t>(std::max(1, eval_samples_in_use_)));
-  Tensor acc = propagation_->PropagateBatch(trees[0], queries);
-  for (size_t s = 1; s < use; ++s) {
-    acc.Add(propagation_->PropagateBatch(trees[s], queries));
-  }
-  acc.Scale(1.0 / static_cast<double>(use));
-  return acc;
+  return propagation_->PropagateMean(&EvalTape(), {trees.data(), use},
+                                     queries);
 }
 
 Tensor KgagModel::GroupQuery(GroupId g) const {
@@ -561,63 +576,54 @@ Tensor KgagModel::GroupQuery(GroupId g) const {
   return q;
 }
 
-std::vector<Tensor> KgagModel::MemberRepsBatch(GroupId g,
-                                               const Tensor& queries) {
-  const auto members = dataset_->groups.MembersOf(g);
-  const size_t p = queries.rows();
-  std::vector<Tensor> reps;
-  reps.reserve(members.size());
-  for (UserId u : members) {
-    const EntityId node = ckg_.UserNode(u);
-    if (config_.use_kg) {
-      reps.push_back(PropagateEval(node, queries));
-    } else {
-      Tensor rep(p, queries.cols());
-      for (size_t r = 0; r < p; ++r) {
-        for (size_t c = 0; c < queries.cols(); ++c) {
-          rep.at(r, c) =
-              entity_table_->value.at(static_cast<size_t>(node), c);
-        }
-      }
-      reps.push_back(std::move(rep));
-    }
+Tensor KgagModel::EntityRows(std::span<const EntityId> nodes) const {
+  const Tensor& table = entity_table_->value;
+  const size_t d = table.cols();
+  Tensor out(nodes.size(), d);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    std::memcpy(out.data() + i * d,
+                table.data() + static_cast<size_t>(nodes[i]) * d,
+                d * sizeof(Scalar));
   }
-  return reps;
+  return out;
 }
 
-Tensor KgagModel::ItemRepsBatch(GroupId g, std::span<const ItemId> items) {
-  const int d = config_.propagation.dim;
-  Tensor out(items.size(), d);
-  const Tensor query = GroupQuery(g);
-  for (size_t i = 0; i < items.size(); ++i) {
-    const EntityId e = ckg_.ItemEntity(items[i]);
-    if (config_.use_kg) {
-      Tensor rep = PropagateEval(e, query);
-      out.SetRow(i, rep);
-    } else {
-      for (int c = 0; c < d; ++c) {
-        out.at(i, static_cast<size_t>(c)) =
-            entity_table_->value.at(static_cast<size_t>(e),
-                                    static_cast<size_t>(c));
-      }
+Tensor KgagModel::MemberReps(GroupId g, const Tensor& queries) {
+  const auto members = dataset_->groups.MembersOf(g);
+  const size_t p = queries.rows();
+  const size_t l = members.size();
+  std::vector<EntityId> nodes;
+  nodes.reserve(p * l);
+  for (UserId u : members) nodes.push_back(ckg_.UserNode(u));
+  if (!config_.use_kg) {
+    // Zero-order member rows do not depend on the query: tile them.
+    for (size_t r = l; r < p * l; ++r) nodes.push_back(nodes[r - l]);
+    return EntityRows(nodes);
+  }
+  const size_t d = queries.cols();
+  Tensor out(p * l, d);
+  for (size_t i = 0; i < l; ++i) {
+    const Tensor rep = PropagateEval(nodes[i], queries);  // (P x d)
+    for (size_t q = 0; q < p; ++q) {
+      std::memcpy(out.data() + (q * l + i) * d, rep.data() + q * d,
+                  d * sizeof(Scalar));
     }
   }
   return out;
 }
 
-namespace {
-
-/// Copies one entity-table row into a 1 x d query tensor.
-Tensor ZeroOrderRow(const Tensor& table, EntityId node, int d) {
-  Tensor q(1, static_cast<size_t>(d));
-  for (int c = 0; c < d; ++c) {
-    q.at(0, static_cast<size_t>(c)) =
-        table.at(static_cast<size_t>(node), static_cast<size_t>(c));
+Tensor KgagModel::ItemReps(GroupId g, std::span<const ItemId> items) {
+  std::vector<EntityId> nodes;
+  nodes.reserve(items.size());
+  for (ItemId v : items) nodes.push_back(ckg_.ItemEntity(v));
+  if (!config_.use_kg) return EntityRows(nodes);
+  const Tensor query = GroupQuery(g);
+  Tensor out(items.size(), static_cast<size_t>(config_.propagation.dim));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    out.SetRow(i, PropagateEval(nodes[i], query));
   }
-  return q;
+  return out;
 }
-
-}  // namespace
 
 Tensor KgagModel::ServingUserReps() {
   const int d = config_.propagation.dim;
@@ -625,7 +631,7 @@ Tensor KgagModel::ServingUserReps() {
              static_cast<size_t>(d));
   for (UserId u = 0; u < dataset_->num_users; ++u) {
     const EntityId node = ckg_.UserNode(u);
-    const Tensor q = ZeroOrderRow(entity_table_->value, node, d);
+    const Tensor q = EntityRows({&node, 1});
     out.SetRow(static_cast<size_t>(u),
                config_.use_kg ? PropagateEval(node, q) : q);
   }
@@ -638,7 +644,7 @@ Tensor KgagModel::ServingItemReps() {
              static_cast<size_t>(d));
   for (ItemId v = 0; v < dataset_->num_items; ++v) {
     const EntityId e = ckg_.ItemEntity(v);
-    const Tensor q = ZeroOrderRow(entity_table_->value, e, d);
+    const Tensor q = EntityRows({&e, 1});
     out.SetRow(static_cast<size_t>(v),
                config_.use_kg ? PropagateEval(e, q) : q);
   }
@@ -647,76 +653,48 @@ Tensor KgagModel::ServingItemReps() {
 
 std::vector<double> KgagModel::ScoreGroup(GroupId g,
                                           std::span<const ItemId> items) {
-  const size_t p = items.size();
-  const int d = config_.propagation.dim;
-
-  // Per-candidate queries for member propagation: the items' zero-order
-  // embeddings.
-  Tensor queries(p, d);
-  for (size_t i = 0; i < p; ++i) {
-    const size_t e = static_cast<size_t>(ckg_.ItemEntity(items[i]));
-    for (int c = 0; c < d; ++c) {
-      queries.at(i, static_cast<size_t>(c)) =
-          entity_table_->value.at(e, static_cast<size_t>(c));
-    }
+  std::vector<double> out;
+  out.reserve(items.size());
+  // A candidate's score does not depend on the others in its pass, so
+  // candidates go through in fixed blocks: the tape's arena then stays one
+  // block's size (the PI peer matrix alone is P·L·(L−1) rows).
+  for (size_t b = 0; b < items.size(); b += kScoreBlock) {
+    const std::span<const ItemId> block =
+        items.subspan(b, std::min(kScoreBlock, items.size() - b));
+    // Per-candidate queries for member propagation: the items' zero-order
+    // embeddings.
+    std::vector<EntityId> item_nodes;
+    item_nodes.reserve(block.size());
+    for (ItemId v : block) item_nodes.push_back(ckg_.ItemEntity(v));
+    const Tensor scores =
+        GroupLogits(MemberReps(g, EntityRows(item_nodes)), ItemReps(g, block));
+    out.insert(out.end(), scores.data(), scores.data() + scores.size());
   }
+  return out;
+}
 
-  const std::vector<Tensor> member_reps = MemberRepsBatch(g, queries);
-  const Tensor item_reps = ItemRepsBatch(g, items);
-  const Tensor group_reps = aggregator_->AggregateBatch(member_reps,
-                                                        item_reps);
-
-  std::vector<double> scores(p);
-  for (size_t i = 0; i < p; ++i) {
-    Scalar s = 0;
-    for (int c = 0; c < d; ++c) {
-      s += group_reps.at(i, static_cast<size_t>(c)) *
-           item_reps.at(i, static_cast<size_t>(c));
-    }
-    scores[i] = s;
-  }
+Tensor KgagModel::GroupLogits(Tensor member_reps, Tensor item_reps) const {
+  Tape& tape = EvalTape();  // the propagation passes left it empty
+  Var item_v = tape.Constant(std::move(item_reps));
+  Var group = aggregator_->AggregateOnTape(
+      &tape, tape.Constant(std::move(member_reps)), item_v);
+  Tensor scores = tape.value(tape.RowDot(group, item_v));  // Eq. (14)
+  tape.Clear();
   return scores;
 }
 
 GroupExplanation KgagModel::ExplainGroup(GroupId g, ItemId v) {
   const auto members = dataset_->groups.MembersOf(g);
-  const int d = config_.propagation.dim;
   const ItemId items[1] = {v};
-
-  Tensor query(1, d);
-  {
-    const size_t e = static_cast<size_t>(ckg_.ItemEntity(v));
-    for (int c = 0; c < d; ++c) {
-      query.at(0, static_cast<size_t>(c)) =
-          entity_table_->value.at(e, static_cast<size_t>(c));
-    }
-  }
-  const std::vector<Tensor> member_reps_v = MemberRepsBatch(g, query);
-  Tensor member_reps(members.size(), d);
-  for (size_t i = 0; i < members.size(); ++i) {
-    member_reps.SetRow(i, member_reps_v[i]);
-  }
-  const Tensor item_rep = ItemRepsBatch(g, items);
+  const EntityId item_node = ckg_.ItemEntity(v);
 
   GroupExplanation out;
   out.members.assign(members.begin(), members.end());
-  out.attention = aggregator_->Explain(member_reps, item_rep);
-
-  // Group representation and prediction from the attention weights.
-  Tensor group_rep(1, d);
-  for (size_t i = 0; i < members.size(); ++i) {
-    for (int c = 0; c < d; ++c) {
-      group_rep.at(0, static_cast<size_t>(c)) +=
-          out.attention.alpha[i] *
-          member_reps.at(i, static_cast<size_t>(c));
-    }
-  }
-  Scalar score = 0;
-  for (int c = 0; c < d; ++c) {
-    score += group_rep.at(0, static_cast<size_t>(c)) *
-             item_rep.at(0, static_cast<size_t>(c));
-  }
-  out.prediction = SigmoidScalar(score);
+  Tensor member_reps = MemberReps(g, EntityRows({&item_node, 1}));
+  Tensor item_reps = ItemReps(g, items);
+  out.attention = aggregator_->Explain(member_reps, item_reps);
+  out.prediction = SigmoidScalar(
+      GroupLogits(std::move(member_reps), std::move(item_reps))[0]);
   return out;
 }
 

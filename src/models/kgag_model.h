@@ -7,6 +7,7 @@
 #define KGAG_MODELS_KGAG_MODEL_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -144,17 +145,27 @@ class KgagModel : public TrainableGroupRecommender {
   /// Fixed eval-time receptive fields for a node (sampled once, cached).
   /// Several trees are kept and their propagated representations averaged:
   /// training optimizes an expectation over resampled neighborhoods, so a
-  /// Monte-Carlo average is the right eval-time estimator.
+  /// Monte-Carlo average is the right eval-time estimator. Safe to call
+  /// from concurrent evaluator workers.
   const std::vector<SampledTree>& EvalTrees(EntityId node);
 
-  /// Average of PropagateBatch over the node's eval trees.
+  /// PropagateMean over the node's eval trees for P queries (P x d), on
+  /// a per-thread tape.
   Tensor PropagateEval(EntityId node, const Tensor& queries);
 
-  /// Member representations for P candidate queries: (P x d) per member.
-  std::vector<Tensor> MemberRepsBatch(GroupId g, const Tensor& queries);
+  /// Zero-order embedding rows of `nodes`, in order (ids may repeat).
+  Tensor EntityRows(std::span<const EntityId> nodes) const;
+
+  /// Member representations for P candidate queries, query-major
+  /// (P·L x d): row p·L + i is member i under query p.
+  Tensor MemberReps(GroupId g, const Tensor& queries);
 
   /// Item representation rows for the given items with the group's query.
-  Tensor ItemRepsBatch(GroupId g, std::span<const ItemId> items);
+  Tensor ItemReps(GroupId g, std::span<const ItemId> items);
+
+  /// Group-item logits (P x 1, Eq. 14) from P candidates' member rows
+  /// (P·L x d, query-major) and item rows (P x d), on the eval tape.
+  Tensor GroupLogits(Tensor member_reps, Tensor item_reps) const;
 
   /// Mean zero-order member embedding of group g (the item-side query).
   Tensor GroupQuery(GroupId g) const;
@@ -178,6 +189,9 @@ class KgagModel : public TrainableGroupRecommender {
   /// Worker pool for sharded training; created lazily on the first epoch
   /// with config_.train_threads > 1.
   std::unique_ptr<ThreadPool> train_pool_;
+  /// Guards eval_trees_, which parallel evaluators fill lazily. Callers
+  /// keep references to the mapped vectors: they survive rehashing.
+  std::mutex eval_trees_mu_;
   std::unordered_map<EntityId, std::vector<SampledTree>> eval_trees_;
   /// Trees averaged per PropagateEval call; lowered during per-epoch
   /// validation scoring, restored for final evaluation.

@@ -1,7 +1,5 @@
 #include "models/propagation.h"
 
-#include <cmath>
-
 #include "obs/obs.h"
 
 namespace kgag {
@@ -18,16 +16,6 @@ const char* IterationSpanName(int iter) {
   return iter < 4 ? kIterationSpanName[iter] : "propagation.iterN";
 }
 #endif
-
-Tensor BroadcastRow(const Tensor& table, size_t row, size_t n) {
-  Tensor out(n, table.cols());
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < table.cols(); ++c) {
-      out.at(r, c) = table.at(row, c);
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -85,26 +73,37 @@ Var PropagationEngine::PropagateOnTape(Tape* tape, const SampledTree& tree,
   const int depth = tree.depth();
   KGAG_CHECK_EQ(depth, config_.depth) << "tree depth != engine depth";
   const int k = config_.sample_size;
+  const size_t p = tape->value(query).rows();
 
-  // Zero-order representations per tree layer.
-  // The int32 span overload widens indices straight onto the tape's
-  // arena — no per-call index vector on the training hot path.
+  // Zero-order representations per tree layer, query-major (P·n_h x d).
+  // With one query the int32 span overload widens the tree's ids straight
+  // onto the tape's arena — no per-call index vector on the training hot
+  // path; P queries gather the layer's ids P times over.
+  std::vector<EntityId> tiled;
   std::vector<Var> vec(depth + 1);
   for (int h = 0; h <= depth; ++h) {
-    vec[h] = tape->Gather(entity_table_,
-                          std::span<const EntityId>(tree.entities[h]));
+    std::span<const EntityId> ids(tree.entities[h]);
+    if (p != 1) {
+      tiled.clear();
+      for (size_t q = 0; q < p; ++q) {
+        tiled.insert(tiled.end(), ids.begin(), ids.end());
+      }
+      ids = tiled;
+    }
+    vec[h] = tape->Gather(entity_table_, ids);
   }
 
   // Query-conditioned, softmax-normalized neighbor weights per layer
-  // (Eq. 2–3). They depend only on (query, relation) so compute once.
+  // (Eq. 2–3). They depend only on (query, relation), so one GEMM per
+  // layer scores every query against every sampled relation:
+  // Q (P x d) · Relᵀ (d x n·K), read as (P·n x K).
   std::vector<Var> pi(depth);
   for (int h = 0; h < depth; ++h) {
     const size_t n = tree.entities[h].size();
     Var rel = tape->Gather(relation_table_,
                            std::span<const RelationId>(tree.relations[h]));
-    Var q = tape->RepeatRows(query, n * k);
-    Var scores = tape->RowDot(rel, q);                          // (nK x 1)
-    pi[h] = tape->SoftmaxRows(tape->Reshape(scores, n, k));     // (n x K)
+    Var scores = tape->MatMul(query, tape->Transpose(rel));     // (P x nK)
+    pi[h] = tape->SoftmaxRows(tape->Reshape(scores, p * n, k)); // (Pn x K)
   }
 
   // H refinement iterations (Eq. 7–8), shrinking the active prefix.
@@ -117,108 +116,20 @@ Var PropagationEngine::PropagateOnTape(Tape* tape, const SampledTree& tree,
     }
     for (int h = 0; h < depth - iter; ++h) vec[h] = next[h];
   }
-  return vec[0];  // (1 x d)
+  return vec[0];  // (P x d)
 }
 
-Tensor PropagationEngine::AggregateBatch(const Tensor& self,
-                                         const Tensor& neigh,
-                                         int iteration) const {
-  Tensor pre;
-  if (config_.aggregator == AggregatorKind::kGcn) {
-    pre = MatMul(Add(self, neigh), layer_weights_[iteration]->value);
-  } else {
-    Tensor cat(self.rows(), self.cols() + neigh.cols());
-    for (size_t r = 0; r < self.rows(); ++r) {
-      for (size_t c = 0; c < self.cols(); ++c) cat.at(r, c) = self.at(r, c);
-      for (size_t c = 0; c < neigh.cols(); ++c) {
-        cat.at(r, self.cols() + c) = neigh.at(r, c);
-      }
-    }
-    pre = MatMul(cat, layer_weights_[iteration]->value);
+Tensor PropagationEngine::PropagateMean(Tape* tape,
+                                        std::span<const SampledTree> trees,
+                                        const Tensor& queries) const {
+  KGAG_CHECK(!trees.empty());
+  Tensor acc(queries.rows(), queries.cols());
+  for (const SampledTree& tree : trees) {
+    acc.Add(tape->value(PropagateOnTape(tape, tree, tape->Constant(queries))));
+    tape->Clear();
   }
-  const Tensor& b = layer_biases_[iteration]->value;
-  for (size_t r = 0; r < pre.rows(); ++r) pre.AddToRow(r, b);
-  const bool last = iteration + 1 == config_.depth;
-  if (!last) {
-    pre.Apply([](Scalar x) { return x > 0 ? x : 0.0; });
-  } else if (config_.final_tanh) {
-    pre.Apply([](Scalar x) { return std::tanh(x); });
-  }
-  return pre;
-}
-
-Tensor PropagationEngine::PropagateBatch(const SampledTree& tree,
-                                         const Tensor& queries) const {
-  KGAG_TRACE_SPAN("propagation.batch");
-  KGAG_COUNTER_ADD("propagation.batch.calls", 1);
-  const int depth = tree.depth();
-  KGAG_CHECK_EQ(depth, config_.depth) << "tree depth != engine depth";
-  const size_t p = queries.rows();
-  const int k = config_.sample_size;
-
-  // Per-node (P x d) representations, initialized from zero-order rows.
-  std::vector<std::vector<Tensor>> vec(depth + 1);
-  for (int h = 0; h <= depth; ++h) {
-    vec[h].reserve(tree.entities[h].size());
-    for (EntityId e : tree.entities[h]) {
-      vec[h].push_back(
-          BroadcastRow(entity_table_->value, static_cast<size_t>(e), p));
-    }
-  }
-
-  // π per parent: (P x K) = softmax over queries·relᵀ.
-  std::vector<std::vector<Tensor>> pi(depth);
-  for (int h = 0; h < depth; ++h) {
-    const size_t n = tree.entities[h].size();
-    pi[h].reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Tensor rel(static_cast<size_t>(k), queries.cols());
-      for (int j = 0; j < k; ++j) {
-        const RelationId r = tree.relations[h][i * k + j];
-        for (size_t c = 0; c < queries.cols(); ++c) {
-          rel.at(j, c) = relation_table_->value.at(static_cast<size_t>(r), c);
-        }
-      }
-      Tensor scores = MatMulTransB(queries, rel);  // (P x K)
-      // Row-wise softmax.
-      for (size_t r = 0; r < scores.rows(); ++r) {
-        Scalar mx = scores.at(r, 0);
-        for (size_t c = 1; c < scores.cols(); ++c) {
-          mx = std::max(mx, scores.at(r, c));
-        }
-        Scalar sum = 0;
-        for (size_t c = 0; c < scores.cols(); ++c) {
-          scores.at(r, c) = std::exp(scores.at(r, c) - mx);
-          sum += scores.at(r, c);
-        }
-        for (size_t c = 0; c < scores.cols(); ++c) scores.at(r, c) /= sum;
-      }
-      pi[h].push_back(std::move(scores));
-    }
-  }
-
-  for (int iter = 0; iter < depth; ++iter) {
-    for (int h = 0; h < depth - iter; ++h) {
-      std::vector<Tensor> next;
-      next.reserve(vec[h].size());
-      for (size_t i = 0; i < vec[h].size(); ++i) {
-        Tensor neigh(p, queries.cols());
-        const Tensor& w = pi[h][i];
-        for (int j = 0; j < k; ++j) {
-          const Tensor& child = vec[h + 1][i * k + j];
-          for (size_t r = 0; r < p; ++r) {
-            const Scalar wj = w.at(r, static_cast<size_t>(j));
-            for (size_t c = 0; c < child.cols(); ++c) {
-              neigh.at(r, c) += wj * child.at(r, c);
-            }
-          }
-        }
-        next.push_back(AggregateBatch(vec[h][i], neigh, iter));
-      }
-      vec[h] = std::move(next);
-    }
-  }
-  return vec[0][0];  // (P x d)
+  acc.Scale(1.0 / static_cast<double>(trees.size()));
+  return acc;
 }
 
 }  // namespace kgag

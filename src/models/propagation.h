@@ -10,13 +10,15 @@
 // with ReLU on inner iterations and tanh on the last (the KGCN
 // convention).
 //
-// Two execution paths share the same parameters:
-//  * PropagateOnTape — differentiable, one query, used for training;
-//  * PropagateBatch  — inference-only, P queries at once, used by the
-//    ranking evaluator where every candidate item induces its own query.
+// PropagateOnTape is the one forward definition. Training calls it with
+// one query; evaluation, freezing and the KGCN baseline call it with P
+// queries at once (every candidate item induces its own query) on a tape
+// they never run backward on. Tree layer h is laid out query-major: row
+// p·n_h + i holds node i of layer h under query p.
 #ifndef KGAG_MODELS_PROPAGATION_H_
 #define KGAG_MODELS_PROPAGATION_H_
 
+#include <span>
 #include <vector>
 
 #include "kg/neighbor_sampler.h"
@@ -47,18 +49,20 @@ class PropagationEngine {
     return sampler_.SampleTree(root, config_.depth, rng);
   }
 
-  /// Differentiable root representation (1 x d) for one query (1 x d).
+  /// Differentiable root representations (P x d), one per query row of
+  /// `query` (P x d); P = 1 is the training case.
   Var PropagateOnTape(Tape* tape, const SampledTree& tree, Var query) const;
 
-  /// Inference-only root representations for P queries: returns (P x d).
-  Tensor PropagateBatch(const SampledTree& tree, const Tensor& queries) const;
+  /// Forward-only root representations for P queries (P x d), averaged
+  /// over `trees`: PropagateOnTape on `tape`, which is cleared after
+  /// every pass and never runs Backward.
+  Tensor PropagateMean(Tape* tape, std::span<const SampledTree> trees,
+                       const Tensor& queries) const;
 
   Parameter* relation_table() { return relation_table_; }
 
  private:
   Var AggregateOnTape(Tape* tape, Var self, Var neigh, int iteration) const;
-  Tensor AggregateBatch(const Tensor& self, const Tensor& neigh,
-                        int iteration) const;
 
   const KnowledgeGraph* graph_;
   Parameter* entity_table_;

@@ -101,8 +101,8 @@ class MemberStack {
 /// Scores every row of `sp_logits` — the S = U_members · V^T block for
 /// this rep, `n` candidates wide with leading dimension `ld` — into
 /// `out[0..n)`: out[p] = Σ_i softmax_i(sp(:,p)·use_sp + pi) · sp(i,p).
-/// The softmax follows PreferenceAggregator::AggregateBatch's scheme
-/// (max-subtract over members, member 0 seeding the max) but runs on
+/// The softmax subtracts the max over members (member 0 seeding the
+/// max), as the model's attention softmax does, but runs on
 /// kernels::SoftmaxScoreReduce — FastExp, one division per candidate,
 /// SIMD across candidates under the same bit-identity-across-tiers
 /// contract as the QGemm kernels. Every frozen-path consumer (offline

@@ -370,20 +370,52 @@ Var Tape::Reshape(Var a, size_t rows, size_t cols) {
                  });
 }
 
-Var Tape::RepeatRows(Var row, size_t n) {
-  const Tensor& rv = value(row);
-  KGAG_CHECK_EQ(rv.rows(), 1u) << "RepeatRows expects a 1xd row";
-  Tensor out = NewTensor(n, rv.cols());
-  for (size_t r = 0; r < n; ++r) out.SetRow(r, rv);
-  return Emplace(std::move(out), node(row).requires_grad,
-                 [row](Tape* t, const Tensor& g) {
-                   Tensor rsum = t->NewTensor(1, g.cols());
+Var Tape::RepeatRows(Var a, size_t n) {
+  const Tensor& av = value(a);
+  const size_t m = av.rows();
+  const size_t d = av.cols();
+  Tensor out = NewTensor(m * n, d);
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t j = 0; j < n; ++j) {
+      std::memcpy(out.data() + (r * n + j) * d, av.data() + r * d,
+                  d * sizeof(Scalar));
+    }
+  }
+  return Emplace(std::move(out), node(a).requires_grad,
+                 [a, n](Tape* t, const Tensor& g) {
+                   const Tensor& av2 = t->value(a);
+                   Tensor ga = t->NewTensor(av2.rows(), av2.cols());
                    for (size_t r = 0; r < g.rows(); ++r) {
                      for (size_t c = 0; c < g.cols(); ++c) {
-                       rsum.at(0, c) += g.at(r, c);
+                       ga.at(r / n, c) += g.at(r, c);
                      }
                    }
-                   t->AccumulateGrad(row, rsum);
+                   t->AccumulateGrad(a, ga);
+                 });
+}
+
+Var Tape::Rows(Var a, std::span<const size_t> rows) {
+  const Tensor& av = value(a);
+  const size_t d = av.cols();
+  std::span<const size_t> stable = ArenaCopy(rows);
+  Tensor out = NewTensor(stable.size(), d);
+  for (size_t i = 0; i < stable.size(); ++i) {
+    KGAG_CHECK_LT(stable[i], av.rows()) << "Rows index out of range";
+    std::memcpy(out.data() + i * d, av.data() + stable[i] * d,
+                d * sizeof(Scalar));
+  }
+  const size_t* rp = stable.data();
+  const size_t rn = stable.size();
+  return Emplace(std::move(out), node(a).requires_grad,
+                 [a, rp, rn](Tape* t, const Tensor& g) {
+                   const Tensor& av2 = t->value(a);
+                   Tensor ga = t->NewTensor(av2.rows(), av2.cols());
+                   for (size_t i = 0; i < rn; ++i) {
+                     for (size_t c = 0; c < g.cols(); ++c) {
+                       ga.at(rp[i], c) += g.at(i, c);
+                     }
+                   }
+                   t->AccumulateGrad(a, ga);
                  });
 }
 

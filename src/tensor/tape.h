@@ -142,8 +142,12 @@ class Tape {
   Var AddRowBroadcast(Var a, Var row);
   /// Row-major reinterpretation to (rows x cols); size must match.
   Var Reshape(Var a, size_t rows, size_t cols);
-  /// Stacks n copies of a 1xd row into an (n x d) matrix.
-  Var RepeatRows(Var row, size_t n);
+  /// Repeats each row of an (m x d) matrix n times in place:
+  /// out[r*n + j] = a[r], giving (m*n x d).
+  Var RepeatRows(Var a, size_t n);
+  /// Row gather from a node: out[i] = a[rows[i]]; indices may repeat
+  /// (their gradients sum). The indices are copied onto the arena.
+  Var Rows(Var a, std::span<const size_t> rows);
   /// Segment-wise weighted sum: weights (n x K) and values ((n*K) x d)
   /// produce (n x d) where out[i] = Σ_k w[i,k] * values[i*K + k]. This is
   /// the neighbor-aggregation kernel of Eq. (1)/(7): one segment per

@@ -45,38 +45,41 @@ TEST_P(AttentionTest, TapeOutputShapeAndConvexity) {
   EXPECT_NEAR(gv.at(0, 3), 0.0, 1e-12);
 }
 
-TEST_P(AttentionTest, BatchMatchesTape) {
+TEST_P(AttentionTest, MultiCandidateMatchesSingleCandidateBitExactly) {
+  // Evaluation aggregates P candidates in one pass over query-major member
+  // rows; training aggregates one. Both must agree bit for bit.
   PreferenceAggregator agg(kDim, kGroupSize, GetParam().use_sp,
                            GetParam().use_pi, &store_, &rng_);
   Rng data_rng(5);
   const size_t p = 4;
-  std::vector<Tensor> member_reps;
-  for (int i = 0; i < kGroupSize; ++i) {
-    Tensor t(p, kDim);
-    for (size_t x = 0; x < t.size(); ++x) t[x] = data_rng.Normal(0, 1);
-    member_reps.push_back(std::move(t));
+  Tensor member_reps(p * kGroupSize, kDim);  // row q·L + i
+  for (size_t x = 0; x < member_reps.size(); ++x) {
+    member_reps[x] = data_rng.Normal(0, 1);
   }
   Tensor item_reps(p, kDim);
   for (size_t x = 0; x < item_reps.size(); ++x) {
     item_reps[x] = data_rng.Normal(0, 1);
   }
 
-  const Tensor batch = agg.AggregateBatch(member_reps, item_reps);
+  Tape batch_tape;
+  const Tensor batch = batch_tape.value(
+      agg.AggregateOnTape(&batch_tape, batch_tape.Constant(member_reps),
+                          batch_tape.Constant(item_reps)));
   ASSERT_EQ(batch.rows(), p);
+  ASSERT_EQ(batch.cols(), static_cast<size_t>(kDim));
 
   for (size_t q = 0; q < p; ++q) {
     Tape tape;
     Tensor members(kGroupSize, kDim);
     for (int i = 0; i < kGroupSize; ++i) {
-      members.SetRow(i, member_reps[i].RowAt(q));
+      members.SetRow(i, member_reps.RowAt(q * kGroupSize + i));
     }
-    Var m = tape.Constant(members);
-    Var item = tape.Constant(item_reps.RowAt(q));
-    Var g = agg.AggregateOnTape(&tape, m, item);
+    Var g = agg.AggregateOnTape(&tape, tape.Constant(members),
+                                tape.Constant(item_reps.RowAt(q)));
     const Tensor& gv = tape.value(g);
     for (int c = 0; c < kDim; ++c) {
-      EXPECT_NEAR(batch.at(q, static_cast<size_t>(c)),
-                  gv.at(0, static_cast<size_t>(c)), 1e-10)
+      EXPECT_EQ(batch.at(q, static_cast<size_t>(c)),
+                gv.at(0, static_cast<size_t>(c)))
           << "candidate " << q << " dim " << c;
     }
   }

@@ -62,9 +62,9 @@ TEST_P(PropagationTest, TapeOutputShape) {
   EXPECT_LE(tape.value(rep).AbsMax(), 1.0);
 }
 
-TEST_P(PropagationTest, BatchMatchesTapeForward) {
-  // The inference path must agree with the differentiable path — this
-  // pins the whole evaluator to the trained computation.
+TEST_P(PropagationTest, MultiQueryMatchesSingleQueryBitExactly) {
+  // Evaluation propagates P queries through one tape pass; training
+  // propagates one. Both must be the same computation, bit for bit.
   PropagationEngine engine(&graph_, entity_table_, &store_, MakeConfig(),
                            &rng_);
   Rng tree_rng(5);
@@ -72,19 +72,24 @@ TEST_P(PropagationTest, BatchMatchesTapeForward) {
 
   Tensor queries{{0.1, -0.2, 0.3, 0.4},
                  {-0.5, 0.5, 0.0, 1.0},
-                 {1.0, 1.0, -1.0, 0.2}};
-  const Tensor batch = engine.PropagateBatch(tree, queries);
-  ASSERT_EQ(batch.rows(), 3u);
+                 {1.0, 1.0, -1.0, 0.2},
+                 {0.7, -0.3, 0.9, -0.8},
+                 {-1.2, 0.4, 0.6, 0.05}};
+  Tape batch_tape;
+  const Tensor batch = batch_tape.value(
+      engine.PropagateOnTape(&batch_tape, tree, batch_tape.Constant(queries)));
+  ASSERT_EQ(batch.rows(), queries.rows());
   ASSERT_EQ(batch.cols(), static_cast<size_t>(kDim));
 
   for (size_t q = 0; q < queries.rows(); ++q) {
     Tape tape;
-    Var query = tape.Constant(queries.RowAt(q));
-    Var rep = engine.PropagateOnTape(&tape, tree, query);
-    const Tensor single = tape.value(rep);
+    Var rep = engine.PropagateOnTape(&tape, tree,
+                                     tape.Constant(queries.RowAt(q)));
+    const Tensor& single = tape.value(rep);
+    ASSERT_EQ(single.rows(), 1u);
     for (int c = 0; c < kDim; ++c) {
-      EXPECT_NEAR(batch.at(q, static_cast<size_t>(c)),
-                  single.at(0, static_cast<size_t>(c)), 1e-10)
+      EXPECT_EQ(batch.at(q, static_cast<size_t>(c)),
+                single.at(0, static_cast<size_t>(c)))
           << "query " << q << " dim " << c;
     }
   }
@@ -162,7 +167,9 @@ TEST(PropagationEngineTest, DifferentQueriesGiveDifferentReps) {
   Rng tree_rng(23);
   SampledTree tree = engine.SampleTree(0, &tree_rng);
   Tensor queries{{2.0, -1.0, 0.5, 1.0}, {-2.0, 1.0, -0.5, -1.0}};
-  Tensor reps = engine.PropagateBatch(tree, queries);
+  Tape tape;
+  const Tensor& reps =
+      tape.value(engine.PropagateOnTape(&tape, tree, tape.Constant(queries)));
   double diff = 0;
   for (size_t c = 0; c < 4; ++c) {
     diff += std::abs(reps.at(0, c) - reps.at(1, c));

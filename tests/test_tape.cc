@@ -120,6 +120,17 @@ TEST_F(TapeForwardTest, ReshapeAndRepeat) {
   const Tensor& rep = tape_.value(tape_.RepeatRows(x, 3));
   EXPECT_EQ(rep.rows(), 3u);
   EXPECT_EQ(rep.at(2, 3), 4.0);
+  // Multi-row input: each row repeats in place, out[r*n + j] = a[r].
+  Var m = tape_.Constant(Tensor{{1, 2}, {3, 4}});
+  EXPECT_TRUE(AllClose(tape_.value(tape_.RepeatRows(m, 2)),
+                       Tensor{{1, 2}, {1, 2}, {3, 4}, {3, 4}}));
+}
+
+TEST_F(TapeForwardTest, RowsGathersFromANode) {
+  Var m = tape_.Constant(Tensor{{1, 2}, {3, 4}, {5, 6}});
+  const size_t idx[] = {2, 0, 2};
+  EXPECT_TRUE(AllClose(tape_.value(tape_.Rows(m, idx)),
+                       Tensor{{5, 6}, {1, 2}, {5, 6}}));
 }
 
 TEST_F(TapeForwardTest, SegmentWeightedSumRows) {
@@ -233,6 +244,23 @@ const GradCase kGradCases[] = {
        Var flat = t->Reshape(x, 1, 6);
        Var rep = t->RepeatRows(flat, 4);            // 4x6
        return t->Mean(t->Mul(rep, rep));
+     }},
+    {"repeat_rows_multi",
+     [](Tape* t, Parameter* a, Parameter* b) {
+       Var x = t->MatMul(t->Leaf(a), t->Leaf(b));  // 3x2
+       Var rep = t->RepeatRows(x, 3);              // 9x2
+       Var w = t->Constant(Tensor{{1, -1}, {0.5, 2}, {-0.3, 0.7},
+                                  {2, 0.1}, {-1, 1}, {0.4, -0.6},
+                                  {1.5, 0.2}, {-0.8, 0.9}, {0.3, 0.3}});
+       return t->Sum(t->Tanh(t->Mul(rep, w)));
+     }},
+    {"rows",
+     [](Tape* t, Parameter* a, Parameter* b) {
+       Var x = t->MatMul(t->Leaf(a), t->Leaf(b));  // 3x2
+       const size_t idx[] = {2, 0, 2, 1};          // repeats: grads add
+       Var picked = t->Rows(x, idx);                // 4x2
+       Var w = t->Constant(Tensor{{1, -1}, {0.5, 2}, {-0.3, 0.7}, {2, 0.1}});
+       return t->Sum(t->Sigmoid(t->Mul(picked, w)));
      }},
     {"segment_weighted_sum",
      [](Tape* t, Parameter* a, Parameter* b) {
