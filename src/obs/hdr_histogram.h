@@ -35,8 +35,8 @@ struct HdrSnapshot {
   uint64_t total = 0;            ///< number of observations
 
   /// Nearest-rank quantile, p in [0, 1]: the upper edge of the bucket
-  /// holding the round(p * (total - 1))-th smallest observation (the same
-  /// rank rule bench_serve applies to raw samples). 0 when empty.
+  /// holding the round(p * (total - 1))-th smallest observation. 0 when
+  /// empty.
   double Quantile(double p) const;
 
   double Mean() const {

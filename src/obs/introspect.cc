@@ -10,8 +10,10 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/accept_backoff.h"
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace kgag {
@@ -166,7 +168,9 @@ void IntrospectionServer::AcceptLoop() {
     if (fd < 0) {
       if (stop_.load(std::memory_order_acquire)) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listen socket is gone; nothing to serve
+      if (!BackOffAfterAcceptError(errno, stop_)) return;
+      KGAG_COUNTER_ADD("obs.introspect.accept_errors", 1);
+      continue;
     }
     // A stuck client must not wedge the loop: bound both directions.
     timeval tv{.tv_sec = 2, .tv_usec = 0};

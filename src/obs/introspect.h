@@ -5,7 +5,8 @@
 // request per connection, GET/HEAD only, Connection: close — because its
 // job is `curl` and a Prometheus scraper, not traffic. Handlers run on
 // the server thread; they only read lock-free metric state, so a slow
-// scrape never blocks the serving path.
+// scrape never blocks the serving path. accept(2) errors follow
+// common/accept_backoff.h (counted in obs.introspect.accept_errors).
 //
 // Endpoints installed by RegisterDefaultIntrospection:
 //   /metrics  Prometheus text exposition of MetricsRegistry::Global()

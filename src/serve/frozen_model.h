@@ -95,7 +95,7 @@ struct FrozenModel {
 
 /// Resident bytes one entity row costs at the model's precision (codes
 /// plus int8 scales; 8*dim for fp64). The number freeze_model prints and
-/// bench_serve reports per precision.
+/// /statusz reports.
 size_t RepBytesPerEntity(const FrozenModel& model);
 
 /// JSON description of a loaded artifact (precision, shapes, bytes per

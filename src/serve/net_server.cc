@@ -13,6 +13,7 @@
 #include <deque>
 #include <sstream>
 
+#include "common/accept_backoff.h"
 #include "common/check.h"
 #include "obs/obs.h"
 #include "serve/net_protocol.h"
@@ -186,7 +187,9 @@ void NetServer::AcceptLoop() {
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;
+      if (!BackOffAfterAcceptError(errno, stopping_)) return;
+      KGAG_COUNTER_ADD("serve.net.accept_errors", 1);
+      continue;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

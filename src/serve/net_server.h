@@ -19,8 +19,12 @@
 // listen socket and every live connection fd, then waits for all
 // connection threads to finish; it is idempotent.
 //
+// An accept(2) short of descriptors or memory is retried after a back-off
+// (common/accept_backoff.h); any other accept error ends the loop.
+//
 // Metrics: serve.net.connections, serve.net.requests,
-// serve.net.requests.http, serve.net.malformed_frames.
+// serve.net.requests.http, serve.net.malformed_frames,
+// serve.net.accept_errors.
 #ifndef KGAG_SERVE_NET_SERVER_H_
 #define KGAG_SERVE_NET_SERVER_H_
 

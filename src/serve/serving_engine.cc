@@ -40,8 +40,6 @@ ServingEngine::ServingEngine(std::shared_ptr<const FrozenModel> model,
   KGAG_CHECK(model != nullptr);
   slot_.model = std::move(model);
   options_.max_batch = std::max<size_t>(1, options_.max_batch);
-  options_.latency_sample_capacity =
-      std::max<size_t>(1, options_.latency_sample_capacity);
   if (!options_.slo_objectives.empty()) {
     slo_ = std::make_unique<obs::SloTracker>(options_.slo_objectives);
   }
@@ -138,13 +136,6 @@ void ServingEngine::SetBatchHookForTest(BatchHook hook) {
   batch_hook_ = std::move(hook);
 }
 
-std::vector<double> ServingEngine::TakeLatencySamples() {
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  std::vector<double> out;
-  out.swap(latency_samples_);
-  return out;
-}
-
 Result<std::shared_ptr<const GroupRep>> ServingEngine::GetRep(
     const ModelSlot& slot, std::span<const UserId> members, bool* cache_hit,
     uint64_t req_id) {
@@ -198,17 +189,6 @@ uint64_t ServingEngine::FinishRequest(Clock::time_point start) {
   const double micros = MicrosSince(start);
   KGAG_HDR_OBSERVE("serve.request_latency_us", micros);
   if (slo_) slo_->RecordRequest(micros, /*error=*/false);
-  if (options_.record_latency) {
-    std::lock_guard<std::mutex> lock(samples_mu_);
-    if (latency_samples_.size() < options_.latency_sample_capacity) {
-      latency_samples_.push_back(micros);
-    } else {
-      // A forgotten TakeLatencySamples() must not grow memory without
-      // bound under sustained traffic; drop and count instead.
-      latency_dropped_.fetch_add(1, std::memory_order_relaxed);
-      KGAG_COUNTER_ADD("serve.latency_samples.dropped", 1);
-    }
-  }
   const double elapsed_s = MicrosSince(start_time_) * 1e-6;
   if (elapsed_s > 0) {
     KGAG_GAUGE_SET("serve.qps",
@@ -620,9 +600,7 @@ std::string ServingEngine::StatusJson() const {
      << ",\"shed_deadline\":"
      << shed_deadline_.load(std::memory_order_relaxed)
      << ",\"shed_queue_full\":"
-     << shed_queue_full_.load(std::memory_order_relaxed)
-     << ",\"latency_samples_dropped\":"
-     << latency_dropped_.load(std::memory_order_relaxed) << "}"
+     << shed_queue_full_.load(std::memory_order_relaxed) << "}"
      << ",\"options\":{\"max_batch\":" << options_.max_batch
      << ",\"batch_deadline_us\":" << options_.batch_deadline_us
      << ",\"max_queue\":" << options_.max_queue

@@ -41,8 +41,7 @@
 // batch_size histogram, serve.batch.late_admitted, HDR request-latency
 // and queue-wait histograms (submit -> completion, exact-count
 // quantiles), qps gauge, cache hit/miss counters and hit-rate/size
-// gauges (from GroupRepCache), serve.latency_samples.dropped when the
-// raw-sample buffer hits its bound.
+// gauges (from GroupRepCache).
 //
 // Request-scoped tracing: every request gets a monotonic id at
 // Submit()/TopK() time; the spans it touches on any thread
@@ -149,16 +148,6 @@ class ServingEngine {
     /// Borrowed pool the batch bodies run on; nullptr = dispatcher
     /// thread runs them inline. Must outlive the engine.
     ThreadPool* pool = nullptr;
-    /// Record every request's latency in micros for exact percentiles
-    /// (TakeLatencySamples). Benchmarks turn this on — histogram-derived
-    /// percentiles quantize to bucket bounds; raw samples don't. Off by
-    /// default.
-    bool record_latency = false;
-    /// Bound on the raw latency-sample buffer: once
-    /// latency_sample_capacity samples are pending, further ones are
-    /// dropped (serve.latency_samples.dropped) until TakeLatencySamples
-    /// drains — a forgotten drain can't grow memory without bound.
-    size_t latency_sample_capacity = 1 << 18;
     /// Queued-request bound across both priority classes (0 =
     /// unbounded). Arrivals beyond it are shed at admission with
     /// ResourceExhausted; interactive arrivals displace the newest
@@ -251,13 +240,6 @@ class ServingEngine {
   uint64_t shed_queue_full() const {
     return shed_queue_full_.load(std::memory_order_relaxed);
   }
-  /// Raw latency samples dropped at the capacity bound.
-  uint64_t latency_samples_dropped() const {
-    return latency_dropped_.load(std::memory_order_relaxed);
-  }
-  /// Drains the per-request latency samples recorded so far (micros, in
-  /// completion order). Empty unless Options::record_latency.
-  std::vector<double> TakeLatencySamples();
 
   /// The engine's SLO tracker, or nullptr when Options::slo_objectives
   /// was empty. Borrowed; valid for the engine's lifetime.
@@ -351,7 +333,9 @@ class ServingEngine {
   GroupRepCache cache_;
   std::unique_ptr<obs::SloTracker> slo_;
 
-  mutable std::mutex mu_;
+  /// Own cache line: taken at request rate; sharing one with per-request
+  /// counters (the cache's hits) cost train_refresh a quarter of its reads/s.
+  alignas(64) mutable std::mutex mu_;
   std::condition_variable cv_;
   /// One FIFO per RequestClass; index = static_cast<size_t>(class).
   std::deque<Pending> queues_[2];
@@ -360,16 +344,12 @@ class ServingEngine {
   std::once_flag shutdown_once_;
   BatchHook batch_hook_;  ///< guarded by mu_; copied at batch start
 
-  std::mutex samples_mu_;
-  std::vector<double> latency_samples_;
-
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> late_admitted_{0};
   std::atomic<uint64_t> shed_deadline_{0};
   std::atomic<uint64_t> shed_queue_full_{0};
-  std::atomic<uint64_t> latency_dropped_{0};
   std::atomic<uint64_t> next_req_{1};  ///< request-id allocator (0 = none)
   const std::chrono::steady_clock::time_point start_time_;
 };

@@ -71,7 +71,7 @@ struct QuantizedMatrix {
     return scales.data() + r * ScalesPerRow();
   }
   /// Payload bytes held in memory (codes + scales), the bytes-per-entity
-  /// numerator reported by freeze_model and bench_serve.
+  /// numerator reported by freeze_model.
   size_t PayloadBytes() const {
     return data.size() + scales.size() * sizeof(float);
   }

@@ -190,8 +190,10 @@ TEST(ArtifactV2, SaveFromMappedModelIsByteStable) {
     ASSERT_TRUE(heap.ok());
     const std::string path = dir + "/m.srv2";
     ASSERT_TRUE(SaveFrozenModelV2(*heap, path).ok());
-    Result<FrozenModel> mapped = LoadFrozenModelMmap(path);
-    ASSERT_TRUE(mapped.ok());
+    MmapLoadOptions verify;
+    verify.verify_crc = true;
+    Result<FrozenModel> mapped = LoadFrozenModelMmap(path, verify);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     // Re-encoding straight from the mapping must reproduce the file.
     const std::string again = dir + "/again.srv2";
     ASSERT_TRUE(SaveFrozenModelV2(*mapped, again).ok());

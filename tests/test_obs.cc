@@ -273,8 +273,7 @@ TEST(TraceTest, ChromeTracingExportIsLoadableJson) {
 // HdrHistogram: log-bucketed exact-count quantiles.
 
 /// Nearest-rank quantile over raw samples — the same rank rule
-/// HdrSnapshot::Quantile applies to bucket counts (and the same rule
-/// bench_serve applies to its raw latency samples).
+/// HdrSnapshot::Quantile applies to bucket counts.
 double NearestRank(std::vector<double> samples, double p) {
   std::sort(samples.begin(), samples.end());
   const auto rank = static_cast<size_t>(
@@ -392,8 +391,8 @@ TEST(HdrHistogramTest, MergeIsAssociativeAndSubtractInverts) {
   EXPECT_DOUBLE_EQ(left.sum, right.sum);
   EXPECT_EQ(left.total, a.total + b.total + c.total);
 
-  // Subtract undoes Merge: the window-delta identity bench_serve's HDR
-  // cross-check and the per-phase stats rely on.
+  // Subtract undoes Merge: the window-delta identity that per-window
+  // stats (e.g. the serving tests' request-count windows) rely on.
   obs::HdrSnapshot delta = left;
   delta.Subtract(a);
   delta.Subtract(c);

@@ -390,39 +390,6 @@ TEST_F(SchedulerTest, ConcurrentShutdownFulfillsEveryPromise) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Bounded latency samples (bugfix: unbounded growth)
-
-TEST_F(SchedulerTest, LatencySampleBufferIsBounded) {
-  const uint64_t dropped_before =
-      CounterValue("serve.latency_samples.dropped");
-  ServingEngine::Options opts;
-  opts.max_batch = 1;
-  opts.cache_capacity = 0;
-  opts.record_latency = true;
-  opts.latency_sample_capacity = 4;
-  ServingEngine engine(frozen_, opts);
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(engine.TopK(Members(0), 3).ok());
-  }
-  EXPECT_EQ(engine.TakeLatencySamples().size(), 4u);
-  EXPECT_EQ(engine.latency_samples_dropped(), 3u);
-#if KGAG_OBS_ACTIVE
-  EXPECT_EQ(CounterValue("serve.latency_samples.dropped") - dropped_before,
-            3u);
-#else
-  (void)dropped_before;
-#endif
-  // Draining frees capacity: recording resumes.
-  ASSERT_TRUE(engine.TopK(Members(0), 3).ok());
-  EXPECT_EQ(engine.TakeLatencySamples().size(), 1u);
-  EXPECT_EQ(engine.latency_samples_dropped(), 3u);
-
-  const std::string json = engine.StatusJson();
-  EXPECT_NE(json.find("\"latency_samples_dropped\":3"), std::string::npos)
-      << json;
-}
-
 }  // namespace
 }  // namespace serve
 }  // namespace kgag

@@ -19,6 +19,7 @@
 #include "eval/ranking_evaluator.h"
 #include "gtest/gtest.h"
 #include "models/kgag_model.h"
+#include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/slo.h"
@@ -531,13 +532,22 @@ uint64_t CounterValue(const char* name) {
   return c != nullptr ? c->Value() : 0;
 }
 
+/// Observations in the serving latency histogram so far. Creating the
+/// series here (it is otherwise registered by the first served request)
+/// lets a test take a "before" snapshot in any test order.
+obs::HdrSnapshot LatencySnapshot() {
+  return obs::MetricsRegistry::Global()
+      .GetHdrHistogram("serve.request_latency_us")
+      ->Snapshot();
+}
+
 TEST_F(ServeTest, FailedRequestsCountButStayOutOfLatencyStats) {
   const uint64_t failed_before = CounterValue("serve.requests.failed");
+  const obs::HdrSnapshot latency_before = LatencySnapshot();
   ServingEngine::Options opts;
   opts.max_batch = 4;
   opts.batch_deadline_us = 0;
   opts.cache_capacity = 0;
-  opts.record_latency = true;
   opts.slo_objectives = {{"avail", /*target=*/0.5,
                           /*latency_threshold_us=*/0.0,
                           /*count_errors=*/true}};
@@ -550,19 +560,38 @@ TEST_F(ServeTest, FailedRequestsCountButStayOutOfLatencyStats) {
   EXPECT_FALSE(via_queue.ok());
 
   // Failed requests never count as served and never enter the latency
-  // samples — a 2us rejection must not drag p50 down.
+  // histogram — a 2us rejection must not drag p50 down.
   EXPECT_EQ(engine.requests_served(), 0u);
-  EXPECT_TRUE(engine.TakeLatencySamples().empty());
+  obs::HdrSnapshot window = LatencySnapshot();
+  window.Subtract(latency_before);
 #if KGAG_OBS_ACTIVE
+  EXPECT_EQ(window.total, 0u);
   EXPECT_EQ(CounterValue("serve.requests.failed") - failed_before, 2u);
 #else
   (void)failed_before;
 #endif
-  // ...but they DO burn SLO error budget.
+
+  // Served requests, through both paths, each add exactly one
+  // observation: the window holds precisely the requests it served.
+  constexpr size_t kServed = 5;
+  ASSERT_TRUE(engine.TopK(Members(0), 5).ok());
+  std::vector<std::future<Result<TopKResult>>> futures;
+  for (size_t i = 1; i < kServed; ++i) {
+    futures.push_back(engine.Submit(
+        {.members = Members(static_cast<GroupId>(i)), .k = 5,
+         .exclude_seen = {}}));
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  EXPECT_EQ(engine.requests_served(), kServed);
+  window = LatencySnapshot();
+  window.Subtract(latency_before);
+  EXPECT_EQ(window.total, KGAG_OBS_ACTIVE ? kServed : 0u);
+
+  // ...but the failures DO burn SLO error budget.
   const auto states = engine.slo()->Evaluate();
   ASSERT_EQ(states.size(), 1u);
   EXPECT_EQ(states[0].short_window.bad, 2u);
-  EXPECT_EQ(states[0].short_window.total, 2u);
+  EXPECT_EQ(states[0].short_window.total, 2u + kServed);
 }
 
 TEST_F(ServeTest, ShutdownRejectsNewSubmissions) {

@@ -1,13 +1,15 @@
 // Determinism contract of data-parallel training (DESIGN.md §9): for a
 // fixed config, TrainEpoch must produce byte-identical training state —
 // parameters, Adam moments, RNG snapshots, batcher cursors — for every
-// train_threads value and for arena on/off. These tests are the gtest
-// twin of bench_train --acceptance, kept small enough for the sanitizer
-// jobs.
+// train_threads value and for arena on/off. The thread-count and arena
+// tests run two configs: a small one (dim 8, depth 1) and the training
+// config of the paper-reproduction benches (dim 16, depth 2, K 6), both
+// small enough for the sanitizer jobs.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "data/synthetic/standard_datasets.h"
 #include "models/kgag_model.h"
@@ -23,9 +25,18 @@ struct Snapshot {
   double last_loss = 0.0;
 };
 
+/// One (dataset, config) pair the determinism contract is checked on.
+struct TrainInput {
+  const GroupRecDataset* ds;
+  KgagConfig cfg;
+  const char* name;
+};
+
 class TrainParallelTest : public ::testing::Test {
  protected:
-  TrainParallelTest() : ds_(MakeMovieLensRandDataset(13, /*scale=*/0.05)) {}
+  TrainParallelTest()
+      : ds_(MakeMovieLensRandDataset(13, /*scale=*/0.05)),
+        bench_ds_(MakeMovieLensRandDataset(17, /*scale=*/0.08)) {}
 
   KgagConfig BaseConfig() const {
     KgagConfig cfg;
@@ -39,8 +50,31 @@ class TrainParallelTest : public ::testing::Test {
     return cfg;
   }
 
-  Snapshot TrainFor(const KgagConfig& cfg, int epochs) const {
-    Result<std::unique_ptr<KgagModel>> model = KgagModel::Create(&ds_, cfg);
+  /// The hyper-parameters bench/bench_util.h's DefaultKgagConfig gives
+  /// every table/figure bench, with a short epoch and no validation.
+  static KgagConfig BenchConfig() {
+    KgagConfig cfg;
+    cfg.propagation.dim = 16;
+    cfg.propagation.depth = 2;
+    cfg.propagation.sample_size = 6;
+    cfg.propagation.final_tanh = false;
+    cfg.eval_tree_samples = 4;
+    cfg.margin = 0.4;
+    cfg.beta = 0.7;
+    cfg.pairs_per_epoch = 96;
+    cfg.select_by_validation = false;
+    cfg.seed = 1234;
+    return cfg;
+  }
+
+  std::vector<TrainInput> Inputs() const {
+    return {{&ds_, BaseConfig(), "dim 8, depth 1"},
+            {&bench_ds_, BenchConfig(), "bench config"}};
+  }
+
+  static Snapshot TrainFor(const GroupRecDataset& ds, const KgagConfig& cfg,
+                           int epochs) {
+    Result<std::unique_ptr<KgagModel>> model = KgagModel::Create(&ds, cfg);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     Rng rng(cfg.seed + 1);
     Snapshot snap;
@@ -68,25 +102,31 @@ class TrainParallelTest : public ::testing::Test {
   }
 
   GroupRecDataset ds_;
+  GroupRecDataset bench_ds_;
 };
 
 TEST_F(TrainParallelTest, BitIdenticalAcrossThreadCounts) {
-  KgagConfig cfg = BaseConfig();
-  cfg.train_threads = 1;
-  const Snapshot ref = TrainFor(cfg, /*epochs=*/3);
+  for (TrainInput in : Inputs()) {
+    SCOPED_TRACE(in.name);
+    in.cfg.train_threads = 1;
+    const Snapshot ref = TrainFor(*in.ds, in.cfg, /*epochs=*/3);
 
-  cfg.train_threads = 2;
-  ExpectIdentical(ref, TrainFor(cfg, 3), "2 threads vs 1");
+    in.cfg.train_threads = 2;
+    ExpectIdentical(ref, TrainFor(*in.ds, in.cfg, 3), "2 threads vs 1");
 
-  cfg.train_threads = 8;
-  ExpectIdentical(ref, TrainFor(cfg, 3), "8 threads vs 1");
+    in.cfg.train_threads = 8;
+    ExpectIdentical(ref, TrainFor(*in.ds, in.cfg, 3), "8 threads vs 1");
+  }
 }
 
 TEST_F(TrainParallelTest, BitIdenticalWithArenaDisabled) {
-  KgagConfig cfg = BaseConfig();
-  const Snapshot arena_on = TrainFor(cfg, /*epochs=*/2);
-  cfg.tape_arena = false;
-  ExpectIdentical(arena_on, TrainFor(cfg, 2), "heap tape vs arena tape");
+  for (TrainInput in : Inputs()) {
+    SCOPED_TRACE(in.name);
+    const Snapshot arena_on = TrainFor(*in.ds, in.cfg, /*epochs=*/3);
+    in.cfg.tape_arena = false;
+    ExpectIdentical(arena_on, TrainFor(*in.ds, in.cfg, 3),
+                    "heap tape vs arena tape");
+  }
 }
 
 // The shard size is part of the numeric contract (like batch_size): the
@@ -97,9 +137,9 @@ TEST_F(TrainParallelTest, BitIdenticalAcrossThreadsForOddShardSize) {
   KgagConfig cfg = BaseConfig();
   cfg.train_shard_size = 5;  // does not divide the batch size
   cfg.train_threads = 1;
-  const Snapshot ref = TrainFor(cfg, /*epochs=*/2);
+  const Snapshot ref = TrainFor(ds_, cfg, /*epochs=*/2);
   cfg.train_threads = 4;
-  ExpectIdentical(ref, TrainFor(cfg, 2), "4 threads vs 1, shard_size=5");
+  ExpectIdentical(ref, TrainFor(ds_, cfg, 2), "4 threads vs 1, shard_size=5");
 }
 
 // The paper-protocol metrics must be reachable from a parallel-trained

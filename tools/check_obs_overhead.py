@@ -2,10 +2,11 @@
 """Gate the observability overhead from A/B (obs-ON vs obs-OFF) benchmarks.
 
 Reads JSON files produced by `bench_kernels --acceptance` (kernel path:
-the 512x64x64 propagation-batch matmul, which crosses only the counter
-increments in kernels::Gemm) and/or `bench_serve --overhead` (serving
-path: the micro-batched request loop, which crosses counters, gauges,
-HDR histograms and disabled trace spans). Each side may be given
+a 512x64x64 matmul, which crosses only the counter increments in
+kernels::Gemm) and/or `bench_serve --overhead` (serving path: the
+micro-batched request loop over a synthetic 4096 x 4096, dim-64
+artifact, which crosses counters, gauges, HDR histograms and disabled
+trace spans). Each side may be given
 SEVERAL runs of each benchmark; the gate compares the per-benchmark
 MEDIANS, so one scheduler hiccup cannot flip the verdict the way a
 single-run comparison can. Runs shorter than the --min-wall-ms floor
