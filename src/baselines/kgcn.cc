@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "models/losses.h"
 #include "models/validation.h"
 
@@ -11,7 +13,7 @@ namespace kgag {
 
 namespace {
 
-/// Users per AllUserScores propagation pass.
+/// Users per UserScores propagation pass.
 constexpr size_t kUserBlock = 64;
 
 }  // namespace
@@ -66,7 +68,6 @@ Var KgcnGroupRecommender::ScorePairOnTape(Tape* tape, UserId u, ItemId v,
 }
 
 double KgcnGroupRecommender::TrainEpoch(Rng* rng) {
-  cache_valid_ = false;
   batcher_.BeginEpoch(rng);
   MiniBatch batch;
   double total = 0.0;
@@ -126,23 +127,17 @@ void KgcnGroupRecommender::Fit() {
   for (int epoch = 0; epoch < config_.base.epochs; ++epoch) {
     const double loss = TrainEpoch(&train_rng_);
     epoch_losses_.push_back(loss);
-    if (config_.base.select_by_validation) {
-      cache_valid_ = false;  // scores depend on the updated weights
-      selector.Observe(this);
-    }
+    if (config_.base.select_by_validation) selector.Observe(this);
     if (config_.base.verbose) {
       KGAG_LOG(Info) << name() << " epoch " << epoch + 1 << " loss=" << loss;
     }
   }
-  if (config_.base.select_by_validation) {
-    selector.RestoreBest();
-    cache_valid_ = false;
-  }
+  if (config_.base.select_by_validation) selector.RestoreBest();
 }
 
 const std::vector<SampledTree>& KgcnGroupRecommender::EvalTrees(
     EntityId item_entity) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
+  std::lock_guard<std::mutex> lock(eval_trees_mu_);
   auto it = eval_trees_.find(item_entity);
   if (it == eval_trees_.end()) {
     // Per-node seed: order-independent eval trees (see KgagModel).
@@ -159,34 +154,27 @@ const std::vector<SampledTree>& KgcnGroupRecommender::EvalTrees(
   return it->second;
 }
 
-const std::vector<double>& KgcnGroupRecommender::AllUserScores(ItemId v) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (!cache_valid_) {
-      score_cache_.clear();
-      cache_valid_ = true;
-    }
-    auto it = score_cache_.find(v);
-    if (it != score_cache_.end()) return it->second;
-  }
-
-  // Every user embedding is a query for the item's propagation, averaged
-  // over the eval receptive-field samples. Computed outside the lock: two
-  // workers racing on the same item produce identical rows. Users go
-  // through in blocks, so the tape holds one block's tree layers rather
-  // than every user's; a block's rows equal its one-query passes bit for
-  // bit, so the block size does not change the scores.
-  const Tensor& users = user_table_->value;  // (m x d)
-  const size_t d = users.cols();
+std::vector<double> KgcnGroupRecommender::UserScores(
+    ItemId v, std::span<const UserId> users) {
+  // Each user embedding is a query for the item's propagation, averaged
+  // over the eval receptive-field samples. Users go through in blocks, so
+  // the tape holds one block's tree layers rather than every user's; a
+  // block's rows equal its one-query passes bit for bit, so neither the
+  // block size nor the other users change a score.
+  const Tensor& table = user_table_->value;  // (m x d)
+  const size_t d = table.cols();
   const std::vector<SampledTree>& trees =
       EvalTrees(dataset_->item_to_entity[v]);
   Tape tape;
-  std::vector<double> scores(users.rows());
-  for (size_t b = 0; b < users.rows(); b += kUserBlock) {
-    const size_t rows = std::min(kUserBlock, users.rows() - b);
+  std::vector<double> scores(users.size());
+  for (size_t b = 0; b < users.size(); b += kUserBlock) {
+    const size_t rows = std::min(kUserBlock, users.size() - b);
     Tensor queries(rows, d);
-    std::memcpy(queries.data(), users.data() + b * d,
-                rows * d * sizeof(Scalar));
+    for (size_t u = 0; u < rows; ++u) {
+      std::memcpy(queries.data() + u * d,
+                  table.data() + static_cast<size_t>(users[b + u]) * d,
+                  d * sizeof(Scalar));
+    }
     const Tensor reps = propagation_->PropagateMean(&tape, trees, queries);
     for (size_t u = 0; u < rows; ++u) {
       Scalar s = 0;
@@ -194,21 +182,41 @@ const std::vector<double>& KgcnGroupRecommender::AllUserScores(ItemId v) {
       scores[b + u] = s;
     }
   }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return score_cache_.emplace(v, std::move(scores)).first->second;
+  return scores;
 }
 
 std::vector<double> KgcnGroupRecommender::ScoreGroup(
     GroupId g, std::span<const ItemId> items) {
   const auto members = dataset_->groups.MembersOf(g);
   std::vector<double> out(items.size());
-  std::vector<double> member_scores(members.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    const std::vector<double>& all = AllUserScores(items[i]);
-    for (size_t m = 0; m < members.size(); ++m) {
-      member_scores[m] = all[static_cast<size_t>(members[m])];
+    out[i] = AggregateScores(UserScores(items[i], members), aggregation_);
+  }
+  return out;
+}
+
+std::vector<double> KgcnGroupRecommender::ScoreGroups(
+    std::span<const GroupId> groups, std::span<const ItemId> items,
+    ThreadPool* pool) {
+  // One all-user score row per item, computed once for every group.
+  std::vector<UserId> all_users(static_cast<size_t>(dataset_->num_users));
+  std::iota(all_users.begin(), all_users.end(), UserId{0});
+  std::vector<std::vector<double>> rows(items.size());
+  ForEachIndex(pool, items.size(), [&](size_t i) {
+    rows[i] = UserScores(items[i], all_users);
+  });
+
+  const size_t n = items.size();
+  std::vector<double> out(groups.size() * n);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const auto members = dataset_->groups.MembersOf(groups[g]);
+    std::vector<double> member_scores(members.size());
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t m = 0; m < members.size(); ++m) {
+        member_scores[m] = rows[i][static_cast<size_t>(members[m])];
+      }
+      out[g * n + i] = AggregateScores(member_scores, aggregation_);
     }
-    out[i] = AggregateScores(member_scores, aggregation_);
   }
   return out;
 }
@@ -217,7 +225,7 @@ std::vector<double> KgcnGroupRecommender::ScoreUser(
     UserId u, std::span<const ItemId> items) {
   std::vector<double> out(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    out[i] = AllUserScores(items[i])[static_cast<size_t>(u)];
+    out[i] = UserScores(items[i], {&u, 1})[0];
   }
   return out;
 }

@@ -47,6 +47,11 @@ class KgcnGroupRecommender : public TrainableGroupRecommender,
   void Fit() override;
   std::vector<double> ScoreGroup(GroupId g,
                                  std::span<const ItemId> items) override;
+  /// Propagates each item once with every user as a query (in parallel
+  /// over items when `pool` is given), then aggregates per group.
+  std::vector<double> ScoreGroups(std::span<const GroupId> groups,
+                                  std::span<const ItemId> items,
+                                  ThreadPool* pool) override;
   std::vector<double> ScoreUser(UserId u,
                                 std::span<const ItemId> items) override;
   std::string name() const override;
@@ -63,9 +68,10 @@ class KgcnGroupRecommender : public TrainableGroupRecommender,
 
   const std::vector<SampledTree>& EvalTrees(EntityId item_entity);
 
-  /// All-user scores for one item (lazy cache; queries = user table).
-  /// Safe to call from concurrent evaluator workers.
-  const std::vector<double>& AllUserScores(ItemId v);
+  /// ⟨u, item_rep(query = u)⟩ of item v for each of `users`, averaged
+  /// over v's eval trees. A user's score does not depend on the others
+  /// in the call. Safe to call from concurrent evaluator workers.
+  std::vector<double> UserScores(ItemId v, std::span<const UserId> users);
 
   const GroupRecDataset* dataset_;
   KgcnConfig config_;
@@ -79,12 +85,10 @@ class KgcnGroupRecommender : public TrainableGroupRecommender,
   std::unique_ptr<Optimizer> optimizer_;
   Batcher batcher_;
   Rng train_rng_;
-  /// Guards the two lazily filled eval caches below. Callers keep
-  /// references to mapped values: they survive rehashing.
-  std::mutex cache_mu_;
+  /// Guards eval_trees_, which parallel evaluators fill lazily. Callers
+  /// keep references to the mapped vectors: they survive rehashing.
+  std::mutex eval_trees_mu_;
   std::unordered_map<EntityId, std::vector<SampledTree>> eval_trees_;
-  std::unordered_map<ItemId, std::vector<double>> score_cache_;
-  bool cache_valid_ = false;
   std::vector<double> epoch_losses_;
 };
 

@@ -131,4 +131,14 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ForEachIndex(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn) {
+  if (pool != nullptr && n > 1) {
+    pool->ParallelFor(n, ThreadPool::RecommendedGrain(n, pool->num_threads()),
+                      fn);
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 }  // namespace kgag

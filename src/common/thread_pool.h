@@ -1,6 +1,6 @@
 // Fixed-size work-queue thread pool backing the parallel paths: training
 // fans out over fixed mini-batch shards (KgagConfig::train_threads, see
-// DESIGN.md §9), the ranking evaluator fans out over test groups (see
+// DESIGN.md §9), evaluation fans out over members, items and groups (see
 // RankingEvaluator::set_thread_pool) and large GEMMs fan out over row
 // panels (see kernels::SetComputeThreadPool). All write to disjoint
 // preallocated slots so results are bit-identical to their serial runs.
@@ -111,6 +111,12 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Runs fn(i) for every i in [0, n): on `pool` with the RecommendedGrain
+/// split when a pool is given and n > 1, else inline in index order. fn
+/// must only touch per-index state, as for ParallelFor.
+void ForEachIndex(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn);
 
 }  // namespace kgag
 

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "eval/metrics.h"
 #include "obs/obs.h"
@@ -51,37 +50,33 @@ EvalResult RankingEvaluator::Evaluate(
   std::sort(groups.begin(), groups.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  std::vector<GroupId> group_ids;
+  group_ids.reserve(groups.size());
+  for (const auto& entry : groups) group_ids.push_back(entry.first);
+  // One batch call: scorers that share work across groups (KGAG's member
+  // table, KGCN's per-item user scores) see the whole evaluation at once.
+  const std::vector<double> scores =
+      scorer->ScoreGroups(group_ids, pool, pool_);
+  KGAG_CHECK_EQ(scores.size(), groups.size() * pool.size())
+      << "scorer returned wrong-size block";
+
   struct GroupMetrics {
     double hit = 0.0;
     double recall = 0.0;
     double ndcg = 0.0;
   };
   std::vector<GroupMetrics> slots(groups.size());
-  auto eval_group = [&](size_t i) {
-    KGAG_TRACE_SPAN("eval.group");
-    KGAG_OBS_ONLY(Stopwatch group_watch;)
-    const auto& [group, pos] = groups[i];
-    const std::vector<double> scores = scorer->ScoreGroup(group, pool);
-    KGAG_CHECK_EQ(scores.size(), pool.size())
-        << "scorer returned wrong-size vector";
-    const std::vector<ItemId> ranked = TopKItems(scores, pool, k_);
-    slots[i] = {HitAtK(ranked, *pos, k_), RecallAtK(ranked, *pos, k_),
-                NdcgAtK(ranked, *pos, k_)};
-    KGAG_HISTOGRAM_OBSERVE("eval.group_latency_us",
-                           group_watch.ElapsedMicros(),
-                           ::kgag::obs::LatencyBoundsUs());
+  auto rank_group = [&](size_t i) {
+    const std::vector<ItemId> ranked = TopKItems(
+        std::span<const double>(scores).subspan(i * pool.size(), pool.size()),
+        pool, k_);
+    const std::unordered_set<ItemId>& pos = *groups[i].second;
+    slots[i] = {HitAtK(ranked, pos, k_), RecallAtK(ranked, pos, k_),
+                NdcgAtK(ranked, pos, k_)};
   };
-
-  if (pool_ != nullptr && groups.size() > 1) {
-    // Auto-derived grain: each item is a full ranking pass (far larger
-    // than one atomic fetch), but per-task queue latency still adds up
-    // when groups vastly outnumber threads — chunking keeps ~8 chunks
-    // per executor, which also bounds load imbalance to ~1/8 of a share.
-    const size_t grain =
-        ThreadPool::RecommendedGrain(groups.size(), pool_->num_threads());
-    pool_->ParallelFor(groups.size(), grain, eval_group);
-  } else {
-    for (size_t i = 0; i < groups.size(); ++i) eval_group(i);
+  {
+    KGAG_TRACE_SPAN("eval.rank");
+    ForEachIndex(pool_, groups.size(), rank_group);
   }
 
   // Serial reduction in group order: identical for both paths above.

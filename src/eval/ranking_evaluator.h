@@ -32,12 +32,13 @@ class RankingEvaluator {
   /// \param k cutoff (the paper reports k = 5)
   explicit RankingEvaluator(const GroupRecDataset* dataset, size_t k = 5);
 
-  /// Installs a borrowed pool (nullptr restores the serial path). With a
-  /// pool set, groups are scored concurrently into preallocated per-group
-  /// slots and reduced in a fixed group order, so the metrics are
-  /// bit-identical to the serial path. The scorer must then be safe to
-  /// call from multiple threads (the model scorers here are read-only at
-  /// evaluation time; anything stateful needs its own synchronization).
+  /// Installs a borrowed pool (nullptr restores the serial path). The
+  /// pool is handed to GroupScorer::ScoreGroups, and groups are ranked
+  /// concurrently into preallocated per-group slots and reduced in a
+  /// fixed group order, so the metrics are bit-identical to the serial
+  /// path. The scorer must then be safe to use from multiple threads (the
+  /// model scorers here are read-only at evaluation time; anything
+  /// stateful needs its own synchronization).
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 

@@ -207,6 +207,14 @@ void KgagModel::EnsureShardContexts(size_t n) {
   }
 }
 
+ThreadPool* KgagModel::TrainPool() {
+  if (config_.train_threads > 1 && train_pool_ == nullptr) {
+    train_pool_ =
+        std::make_unique<ThreadPool>(static_cast<size_t>(config_.train_threads));
+  }
+  return train_pool_.get();
+}
+
 double KgagModel::TrainEpochCheckpointed(Rng* rng, int epoch,
                                          ckpt::CheckpointManager* mgr,
                                          const ValidationSelector* selector,
@@ -216,10 +224,7 @@ double KgagModel::TrainEpochCheckpointed(Rng* rng, int epoch,
   KGAG_OBS_ONLY(Stopwatch epoch_watch; size_t epoch_examples = 0;
                 double grad_sq_sum = 0.0;)
   batcher_.BeginEpoch(rng);  // no-op when resuming an epoch mid-flight
-  if (config_.train_threads > 1 && train_pool_ == nullptr) {
-    train_pool_ =
-        std::make_unique<ThreadPool>(static_cast<size_t>(config_.train_threads));
-  }
+  ThreadPool* const pool = TrainPool();
   // All per-example randomness (negatives, receptive-field trees) is
   // addressed by (seed, epoch, stream, example index): any shard can draw
   // example i's stream without touching shared engine state, so batch
@@ -284,8 +289,8 @@ double KgagModel::TrainEpochCheckpointed(Rng* rng, int epoch,
         ctx.loss += tape.value(scaled).item();
       }
     };
-    if (train_pool_ != nullptr && num_shards > 1) {
-      train_pool_->ParallelFor(num_shards, /*grain=*/1, run_shard);
+    if (pool != nullptr && num_shards > 1) {
+      pool->ParallelFor(num_shards, /*grain=*/1, run_shard);
     } else {
       for (size_t s = 0; s < num_shards; ++s) run_shard(s);
     }
@@ -353,6 +358,9 @@ void KgagModel::Fit() {
   KGAG_TRACE_SPAN("train.fit");
   ValidationSelector selector(dataset_, &store_, /*k=*/5,
                               config_.valid_max_interactions);
+  // Validation scores on the training workers; parallel evaluation is
+  // bit-identical to serial, so the selected epoch does not depend on it.
+  selector.set_thread_pool(TrainPool());
   eval_samples_in_use_ = config_.valid_tree_samples;
 
   std::unique_ptr<ckpt::CheckpointManager> ckpt_mgr;
@@ -524,15 +532,8 @@ Status KgagModel::RestoreTrainingState(const ckpt::TrainingState& state,
 
 namespace {
 
-/// Candidates per ScoreGroup attention pass.
+/// Candidates per scoring pass, and groups per item-propagation chunk.
 constexpr size_t kScoreBlock = 64;
-
-/// Per-thread tape for forward-only passes (evaluation, freezing); it
-/// never runs Backward and is cleared after every pass.
-Tape& EvalTape() {
-  thread_local Tape tape;
-  return tape;
-}
 
 }  // namespace
 
@@ -554,12 +555,31 @@ const std::vector<SampledTree>& KgagModel::EvalTrees(EntityId node) {
   return it->second;
 }
 
+template <typename Fn>
+auto KgagModel::WithEvalTape(Fn&& fn) {
+  std::unique_ptr<Tape> tape;
+  {
+    std::lock_guard<std::mutex> lock(eval_tapes_mu_);
+    if (!eval_tapes_.empty()) {
+      tape = std::move(eval_tapes_.back());
+      eval_tapes_.pop_back();
+    }
+  }
+  if (tape == nullptr) tape = std::make_unique<Tape>();
+  auto result = fn(tape.get());
+  tape->Clear();
+  std::lock_guard<std::mutex> lock(eval_tapes_mu_);
+  eval_tapes_.push_back(std::move(tape));
+  return result;
+}
+
 Tensor KgagModel::PropagateEval(EntityId node, const Tensor& queries) {
   const std::vector<SampledTree>& trees = EvalTrees(node);
   const size_t use = std::min<size_t>(
       trees.size(), static_cast<size_t>(std::max(1, eval_samples_in_use_)));
-  return propagation_->PropagateMean(&EvalTape(), {trees.data(), use},
-                                     queries);
+  return WithEvalTape([&](Tape* tape) {
+    return propagation_->PropagateMean(tape, {trees.data(), use}, queries);
+  });
 }
 
 Tensor KgagModel::GroupQuery(GroupId g) const {
@@ -588,41 +608,102 @@ Tensor KgagModel::EntityRows(std::span<const EntityId> nodes) const {
   return out;
 }
 
-Tensor KgagModel::MemberReps(GroupId g, const Tensor& queries) {
-  const auto members = dataset_->groups.MembersOf(g);
-  const size_t p = queries.rows();
-  const size_t l = members.size();
-  std::vector<EntityId> nodes;
-  nodes.reserve(p * l);
-  for (UserId u : members) nodes.push_back(ckg_.UserNode(u));
-  if (!config_.use_kg) {
-    // Zero-order member rows do not depend on the query: tile them.
-    for (size_t r = l; r < p * l; ++r) nodes.push_back(nodes[r - l]);
-    return EntityRows(nodes);
-  }
-  const size_t d = queries.cols();
-  Tensor out(p * l, d);
-  for (size_t i = 0; i < l; ++i) {
-    const Tensor rep = PropagateEval(nodes[i], queries);  // (P x d)
-    for (size_t q = 0; q < p; ++q) {
-      std::memcpy(out.data() + (q * l + i) * d, rep.data() + q * d,
-                  d * sizeof(Scalar));
+void KgagModel::BlockReps(
+    std::span<const GroupId> groups, std::span<const ItemId> block,
+    ThreadPool* pool,
+    const std::function<void(size_t, Tensor, Tensor)>& emit) {
+  const size_t p = block.size();
+  const size_t d = static_cast<size_t>(config_.propagation.dim);
+  std::vector<EntityId> item_nodes;
+  item_nodes.reserve(p);
+  for (ItemId v : block) item_nodes.push_back(ckg_.ItemEntity(v));
+  // The candidates' zero-order embeddings: the queries for member
+  // propagation (§III-C1: i_e for a group member is the item the group
+  // interacts with), and the item rows themselves without the KG.
+  const Tensor item_queries = EntityRows(item_nodes);
+
+  // Member-table slot of every member of every group, in group order;
+  // groups[i]'s members are [member_begin[i], member_begin[i + 1]).
+  std::vector<EntityId> users;  // distinct member nodes, by slot
+  std::vector<size_t> member_slot;
+  std::vector<size_t> member_begin{0};
+  {
+    std::unordered_map<EntityId, size_t> slot_of;
+    for (GroupId g : groups) {
+      for (UserId u : dataset_->groups.MembersOf(g)) {
+        const EntityId node = ckg_.UserNode(u);
+        const auto [it, fresh] = slot_of.emplace(node, users.size());
+        if (fresh) users.push_back(node);
+        member_slot.push_back(it->second);
+      }
+      member_begin.push_back(member_slot.size());
     }
   }
-  return out;
-}
 
-Tensor KgagModel::ItemReps(GroupId g, std::span<const ItemId> items) {
-  std::vector<EntityId> nodes;
-  nodes.reserve(items.size());
-  for (ItemId v : items) nodes.push_back(ckg_.ItemEntity(v));
-  if (!config_.use_kg) return EntityRows(nodes);
-  const Tensor query = GroupQuery(g);
-  Tensor out(items.size(), static_cast<size_t>(config_.propagation.dim));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    out.SetRow(i, PropagateEval(nodes[i], query));
+  // (a) Member table, row s·P + q: distinct member s under candidate q.
+  Tensor member_table;
+  if (config_.use_kg) {
+    KGAG_TRACE_SPAN("eval.member_table");
+    member_table = Tensor(users.size() * p, d);
+    ForEachIndex(pool, users.size(), [&](size_t s) {
+      const Tensor rows = PropagateEval(users[s], item_queries);
+      std::memcpy(member_table.data() + s * p * d, rows.data(),
+                  p * d * sizeof(Scalar));
+    });
+    KGAG_COUNTER_ADD("eval.member_rows", users.size() * p);
   }
-  return out;
+
+  const Scalar* entities = entity_table_->value.data();
+  for (size_t begin = 0; begin < groups.size(); begin += kScoreBlock) {
+    const size_t c = std::min(kScoreBlock, groups.size() - begin);
+    // (b) Item table of this chunk of groups, row q·C + r: candidate q
+    // under the query of group begin + r.
+    Tensor item_table;
+    if (config_.use_kg) {
+      KGAG_TRACE_SPAN("eval.item_reps");
+      Tensor queries(c, d);
+      for (size_t r = 0; r < c; ++r) {
+        queries.SetRow(r, GroupQuery(groups[begin + r]));
+      }
+      item_table = Tensor(p * c, d);
+      ForEachIndex(pool, p, [&](size_t q) {
+        const Tensor rows = PropagateEval(item_nodes[q], queries);
+        std::memcpy(item_table.data() + q * c * d, rows.data(),
+                    c * d * sizeof(Scalar));
+      });
+      KGAG_COUNTER_ADD("eval.item_rows", p * c);
+    }
+
+    // (c) Gather each group's rows from the tables and hand them on.
+    KGAG_TRACE_SPAN("eval.logits");
+    ForEachIndex(pool, c, [&](size_t r) {
+      const size_t i = begin + r;
+      const size_t first = member_begin[i];
+      const size_t l = member_begin[i + 1] - first;
+      Tensor member_reps(p * l, d);
+      for (size_t q = 0; q < p; ++q) {
+        for (size_t m = 0; m < l; ++m) {
+          const size_t slot = member_slot[first + m];
+          // Zero-order member rows do not depend on the query.
+          const Scalar* row =
+              config_.use_kg
+                  ? member_table.data() + (slot * p + q) * d
+                  : entities + static_cast<size_t>(users[slot]) * d;
+          std::memcpy(member_reps.data() + (q * l + m) * d, row,
+                      d * sizeof(Scalar));
+        }
+      }
+      Tensor item_reps = item_queries;
+      if (config_.use_kg) {
+        for (size_t q = 0; q < p; ++q) {
+          std::memcpy(item_reps.data() + q * d,
+                      item_table.data() + (q * c + r) * d,
+                      d * sizeof(Scalar));
+        }
+      }
+      emit(i, std::move(member_reps), std::move(item_reps));
+    });
+  }
 }
 
 Tensor KgagModel::ServingUserReps() {
@@ -653,48 +734,52 @@ Tensor KgagModel::ServingItemReps() {
 
 std::vector<double> KgagModel::ScoreGroup(GroupId g,
                                           std::span<const ItemId> items) {
-  std::vector<double> out;
-  out.reserve(items.size());
+  return ScoreGroups({&g, 1}, items, /*pool=*/nullptr);
+}
+
+std::vector<double> KgagModel::ScoreGroups(std::span<const GroupId> groups,
+                                           std::span<const ItemId> items,
+                                           ThreadPool* pool) {
+  const size_t n = items.size();
+  std::vector<double> out(groups.size() * n);
   // A candidate's score does not depend on the others in its pass, so
-  // candidates go through in fixed blocks: the tape's arena then stays one
-  // block's size (the PI peer matrix alone is P·L·(L−1) rows).
-  for (size_t b = 0; b < items.size(); b += kScoreBlock) {
+  // candidates go through in fixed blocks: the member and item tables
+  // and the tape's arena then stay one block's size (the PI peer matrix
+  // alone is P·L·(L−1) rows).
+  for (size_t b = 0; b < n; b += kScoreBlock) {
     const std::span<const ItemId> block =
-        items.subspan(b, std::min(kScoreBlock, items.size() - b));
-    // Per-candidate queries for member propagation: the items' zero-order
-    // embeddings.
-    std::vector<EntityId> item_nodes;
-    item_nodes.reserve(block.size());
-    for (ItemId v : block) item_nodes.push_back(ckg_.ItemEntity(v));
-    const Tensor scores =
-        GroupLogits(MemberReps(g, EntityRows(item_nodes)), ItemReps(g, block));
-    out.insert(out.end(), scores.data(), scores.data() + scores.size());
+        items.subspan(b, std::min(kScoreBlock, n - b));
+    BlockReps(groups, block, pool,
+              [&](size_t i, Tensor member_reps, Tensor item_reps) {
+                const Tensor scores = GroupLogits(std::move(member_reps),
+                                                  std::move(item_reps));
+                std::copy(scores.data(), scores.data() + scores.size(),
+                          out.begin() + static_cast<ptrdiff_t>(i * n + b));
+              });
   }
   return out;
 }
 
-Tensor KgagModel::GroupLogits(Tensor member_reps, Tensor item_reps) const {
-  Tape& tape = EvalTape();  // the propagation passes left it empty
-  Var item_v = tape.Constant(std::move(item_reps));
-  Var group = aggregator_->AggregateOnTape(
-      &tape, tape.Constant(std::move(member_reps)), item_v);
-  Tensor scores = tape.value(tape.RowDot(group, item_v));  // Eq. (14)
-  tape.Clear();
-  return scores;
+Tensor KgagModel::GroupLogits(Tensor member_reps, Tensor item_reps) {
+  return WithEvalTape([&](Tape* tape) {
+    Var item_v = tape->Constant(std::move(item_reps));
+    Var group = aggregator_->AggregateOnTape(
+        tape, tape->Constant(std::move(member_reps)), item_v);
+    // Eq. (14); copied off the tape's arena, which the lease rewinds.
+    return Tensor(tape->value(tape->RowDot(group, item_v)));
+  });
 }
 
 GroupExplanation KgagModel::ExplainGroup(GroupId g, ItemId v) {
   const auto members = dataset_->groups.MembersOf(g);
-  const ItemId items[1] = {v};
-  const EntityId item_node = ckg_.ItemEntity(v);
-
   GroupExplanation out;
   out.members.assign(members.begin(), members.end());
-  Tensor member_reps = MemberReps(g, EntityRows({&item_node, 1}));
-  Tensor item_reps = ItemReps(g, items);
-  out.attention = aggregator_->Explain(member_reps, item_reps);
-  out.prediction = SigmoidScalar(
-      GroupLogits(std::move(member_reps), std::move(item_reps))[0]);
+  BlockReps({&g, 1}, {&v, 1}, /*pool=*/nullptr,
+            [&](size_t, Tensor member_reps, Tensor item_reps) {
+              out.attention = aggregator_->Explain(member_reps, item_reps);
+              out.prediction = SigmoidScalar(GroupLogits(
+                  std::move(member_reps), std::move(item_reps))[0]);
+            });
   return out;
 }
 

@@ -6,6 +6,7 @@
 #ifndef KGAG_MODELS_KGAG_MODEL_H_
 #define KGAG_MODELS_KGAG_MODEL_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,8 +47,16 @@ class KgagModel : public TrainableGroupRecommender {
 
   // TrainableGroupRecommender:
   void Fit() override;
+  /// The one-group case of ScoreGroups.
   std::vector<double> ScoreGroup(GroupId g,
                                  std::span<const ItemId> items) override;
+  /// Exact scores for many groups at once (DESIGN.md §3): per candidate
+  /// block each distinct member is propagated once and each item tree
+  /// once per chunk of groups, so the work is shared across groups while
+  /// every score stays bit-identical to a one-group pass.
+  std::vector<double> ScoreGroups(std::span<const GroupId> groups,
+                                  std::span<const ItemId> items,
+                                  ThreadPool* pool) override;
   std::string name() const override;
 
   /// Runs one epoch over the training split; returns the mean batch loss.
@@ -131,6 +140,10 @@ class KgagModel : public TrainableGroupRecommender {
     double loss = 0.0;
   };
 
+  /// The training worker pool, created on first use; null when
+  /// config_.train_threads <= 1. Fit's validation borrows it too.
+  ThreadPool* TrainPool();
+
   /// Grows shard_contexts_ to n entries (tapes wired to their buffers).
   void EnsureShardContexts(size_t n);
 
@@ -149,23 +162,33 @@ class KgagModel : public TrainableGroupRecommender {
   /// from concurrent evaluator workers.
   const std::vector<SampledTree>& EvalTrees(EntityId node);
 
+  /// Runs fn(Tape*) on a forward-only tape leased from eval_tapes_ and
+  /// returns its result; the tape is cleared and handed back after.
+  template <typename Fn>
+  auto WithEvalTape(Fn&& fn);
+
   /// PropagateMean over the node's eval trees for P queries (P x d), on
-  /// a per-thread tape.
+  /// a leased eval tape.
   Tensor PropagateEval(EntityId node, const Tensor& queries);
 
   /// Zero-order embedding rows of `nodes`, in order (ids may repeat).
   Tensor EntityRows(std::span<const EntityId> nodes) const;
 
-  /// Member representations for P candidate queries, query-major
-  /// (P·L x d): row p·L + i is member i under query p.
-  Tensor MemberReps(GroupId g, const Tensor& queries);
-
-  /// Item representation rows for the given items with the group's query.
-  Tensor ItemReps(GroupId g, std::span<const ItemId> items);
+  /// Member rows (P·L x d, query-major: row p·L + i is member i under
+  /// candidate p) and item rows (P x d) of every group in `groups` for
+  /// one candidate block of P items, handed to emit(i, members, items)
+  /// for groups[i]. Propagation is shared: one PropagateEval per distinct
+  /// member (all P candidates as queries), and one per (item, chunk of up
+  /// to 64 groups) with the chunk's GroupQuery rows as queries; chunks
+  /// go one at a time, so only one chunk's item rows are alive. Work fans
+  /// out over `pool` when given; emit then runs on pool threads.
+  void BlockReps(std::span<const GroupId> groups,
+                 std::span<const ItemId> block, ThreadPool* pool,
+                 const std::function<void(size_t, Tensor, Tensor)>& emit);
 
   /// Group-item logits (P x 1, Eq. 14) from P candidates' member rows
-  /// (P·L x d, query-major) and item rows (P x d), on the eval tape.
-  Tensor GroupLogits(Tensor member_reps, Tensor item_reps) const;
+  /// (P·L x d, query-major) and item rows (P x d), on a leased eval tape.
+  Tensor GroupLogits(Tensor member_reps, Tensor item_reps);
 
   /// Mean zero-order member embedding of group g (the item-side query).
   Tensor GroupQuery(GroupId g) const;
@@ -186,13 +209,19 @@ class KgagModel : public TrainableGroupRecommender {
   /// these buffers — also at 1 thread — so the reduction tree is
   /// identical for every train_threads value.
   std::vector<ShardContext> shard_contexts_;
-  /// Worker pool for sharded training; created lazily on the first epoch
-  /// with config_.train_threads > 1.
+  /// Worker pool for sharded training and Fit's validation; see
+  /// TrainPool().
   std::unique_ptr<ThreadPool> train_pool_;
   /// Guards eval_trees_, which parallel evaluators fill lazily. Callers
   /// keep references to the mapped vectors: they survive rehashing.
   std::mutex eval_trees_mu_;
   std::unordered_map<EntityId, std::vector<SampledTree>> eval_trees_;
+  /// Forward-only tapes for evaluation and freezing, leased per pass, so
+  /// the model keeps as many warm arenas as passes ever ran at once, not
+  /// one per thread that ever scored (Fit validates on the training pool;
+  /// test evaluation runs on the caller's pool).
+  std::mutex eval_tapes_mu_;
+  std::vector<std::unique_ptr<Tape>> eval_tapes_;
   /// Trees averaged per PropagateEval call; lowered during per-epoch
   /// validation scoring, restored for final evaluation.
   int eval_samples_in_use_ = 0;

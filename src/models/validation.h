@@ -37,6 +37,10 @@ class ValidationSelector {
     }
   }
 
+  /// Borrowed pool for Observe's evaluation (nullptr: serial); see
+  /// RankingEvaluator::set_thread_pool.
+  void set_thread_pool(ThreadPool* pool) { evaluator_.set_thread_pool(pool); }
+
   /// Evaluates the scorer on the (capped) validation slice; snapshots the
   /// current parameter values if this is the best epoch so far. Returns
   /// the validation hit@k.

@@ -344,14 +344,22 @@ class ServingEngine {
   std::once_flag shutdown_once_;
   BatchHook batch_hook_;  ///< guarded by mu_; copied at batch start
 
-  std::atomic<uint64_t> served_{0};
+  /// Pool side, one line: the counters bumped per finished request or
+  /// batch, and start_time_, read in every FinishRequest. Kept off mu_'s
+  /// line and off the Submit side's (pinned in test_scheduler).
+  alignas(64) std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> late_admitted_{0};
   std::atomic<uint64_t> shed_deadline_{0};
   std::atomic<uint64_t> shed_queue_full_{0};
-  std::atomic<uint64_t> next_req_{1};  ///< request-id allocator (0 = none)
   const std::chrono::steady_clock::time_point start_time_;
+
+  /// Submit side, own line: the request-id allocator (0 = none), written
+  /// by every Submit and TopK on the callers' threads.
+  alignas(64) std::atomic<uint64_t> next_req_{1};
+
+  friend struct ServingEngineLayout;  // the layout test
 };
 
 }  // namespace serve

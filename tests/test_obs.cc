@@ -654,10 +654,11 @@ TEST(ObsEndToEndTest, TrainAndEvalPublishMetricsAndSpans) {
         "attention.aggregate.calls"}) {
     EXPECT_NE(jsonl.find(key), std::string::npos) << "missing " << key;
   }
-  // Eval gauges only exist in the post-eval snapshot.
+  // Eval gauges only exist in the post-eval snapshot; the row counters
+  // give the member/item sharing of the batch scorer.
   const std::string final_line = jsonl.substr(jsonl.rfind("{\"label\""));
   for (const char* key : {"eval.hit_at_k", "eval.ndcg_at_k",
-                          "eval.group_latency_us"}) {
+                          "eval.member_rows", "eval.item_rows"}) {
     EXPECT_NE(final_line.find(key), std::string::npos) << "missing " << key;
   }
 
@@ -665,7 +666,8 @@ TEST(ObsEndToEndTest, TrainAndEvalPublishMetricsAndSpans) {
   for (const char* span :
        {"train.epoch", "train.batch", "train.backward",
         "train.optimizer_step", "propagation.forward", "propagation.iter0",
-        "attention.aggregate", "eval.evaluate", "eval.group"}) {
+        "attention.aggregate", "eval.evaluate", "eval.member_table",
+        "eval.item_reps", "eval.logits", "eval.rank"}) {
     EXPECT_NE(trace.find(span), std::string::npos) << "missing " << span;
   }
   rec.Clear();

@@ -21,6 +21,7 @@ struct PropCase {
   int depth;
   int sample_size;
   AggregatorKind aggregator;
+  int dim = 4;
 };
 
 class PropagationTest : public ::testing::TestWithParam<PropCase> {
@@ -28,23 +29,31 @@ class PropagationTest : public ::testing::TestWithParam<PropCase> {
   PropagationTest()
       : graph_(TestGraph()),
         rng_(11),
-        entity_table_(store_.Create("entities", 6, kDim, Init::kNormal01,
+        dim_(GetParam().dim),
+        entity_table_(store_.Create("entities", 6, dim_, Init::kNormal01,
                                     &rng_)) {}
-
-  static constexpr int kDim = 4;
 
   PropagationConfig MakeConfig() const {
     PropagationConfig cfg;
     cfg.depth = GetParam().depth;
     cfg.sample_size = GetParam().sample_size;
-    cfg.dim = kDim;
+    cfg.dim = dim_;
     cfg.aggregator = GetParam().aggregator;
     return cfg;
+  }
+
+  /// (rows x dim) query-like values, uniform in [-1.25, 1.25).
+  Tensor Rows(size_t rows, uint64_t seed) const {
+    Rng rng(seed);
+    Tensor t(rows, static_cast<size_t>(dim_));
+    for (size_t i = 0; i < t.size(); ++i) t[i] = rng.Uniform(-1.25, 1.25);
+    return t;
   }
 
   KnowledgeGraph graph_;
   ParameterStore store_;
   Rng rng_;
+  int dim_;
   Parameter* entity_table_;
 };
 
@@ -54,43 +63,43 @@ TEST_P(PropagationTest, TapeOutputShape) {
   Rng tree_rng(3);
   SampledTree tree = engine.SampleTree(0, &tree_rng);
   Tape tape;
-  Var query = tape.Constant(Tensor::Row({0.1, -0.2, 0.3, 0.4}));
+  Var query = tape.Constant(Rows(1, 1));
   Var rep = engine.PropagateOnTape(&tape, tree, query);
   EXPECT_EQ(tape.value(rep).rows(), 1u);
-  EXPECT_EQ(tape.value(rep).cols(), static_cast<size_t>(kDim));
+  EXPECT_EQ(tape.value(rep).cols(), static_cast<size_t>(dim_));
   // tanh final layer bounds outputs.
   EXPECT_LE(tape.value(rep).AbsMax(), 1.0);
 }
 
 TEST_P(PropagationTest, MultiQueryMatchesSingleQueryBitExactly) {
   // Evaluation propagates P queries through one tape pass; training
-  // propagates one. Both must be the same computation, bit for bit.
+  // propagates one. Both must be the same computation, bit for bit. The
+  // query counts cross the GEMM's register tile (MR = 4) and its 128-row
+  // panel, and include the batch scorer's block (64) and its neighbours.
   PropagationEngine engine(&graph_, entity_table_, &store_, MakeConfig(),
                            &rng_);
   Rng tree_rng(5);
   SampledTree tree = engine.SampleTree(1, &tree_rng);
 
-  Tensor queries{{0.1, -0.2, 0.3, 0.4},
-                 {-0.5, 0.5, 0.0, 1.0},
-                 {1.0, 1.0, -1.0, 0.2},
-                 {0.7, -0.3, 0.9, -0.8},
-                 {-1.2, 0.4, 0.6, 0.05}};
-  Tape batch_tape;
-  const Tensor batch = batch_tape.value(
-      engine.PropagateOnTape(&batch_tape, tree, batch_tape.Constant(queries)));
-  ASSERT_EQ(batch.rows(), queries.rows());
-  ASSERT_EQ(batch.cols(), static_cast<size_t>(kDim));
+  for (size_t p : {1, 5, 63, 64, 65, 130}) {
+    SCOPED_TRACE(::testing::Message() << "P = " << p);
+    const Tensor queries = Rows(p, 100 + p);
+    Tape batch_tape;
+    const Tensor batch = batch_tape.value(engine.PropagateOnTape(
+        &batch_tape, tree, batch_tape.Constant(queries)));
+    ASSERT_EQ(batch.rows(), p);
+    ASSERT_EQ(batch.cols(), static_cast<size_t>(dim_));
 
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    Tape tape;
-    Var rep = engine.PropagateOnTape(&tape, tree,
-                                     tape.Constant(queries.RowAt(q)));
-    const Tensor& single = tape.value(rep);
-    ASSERT_EQ(single.rows(), 1u);
-    for (int c = 0; c < kDim; ++c) {
-      EXPECT_EQ(batch.at(q, static_cast<size_t>(c)),
-                single.at(0, static_cast<size_t>(c)))
-          << "query " << q << " dim " << c;
+    for (size_t q = 0; q < p; ++q) {
+      Tape tape;
+      Var rep = engine.PropagateOnTape(&tape, tree,
+                                       tape.Constant(queries.RowAt(q)));
+      const Tensor& single = tape.value(rep);
+      ASSERT_EQ(single.rows(), 1u);
+      for (size_t c = 0; c < static_cast<size_t>(dim_); ++c) {
+        ASSERT_EQ(batch.at(q, c), single.at(0, c))
+            << "query " << q << " dim " << c;
+      }
     }
   }
 }
@@ -100,13 +109,14 @@ TEST_P(PropagationTest, GradientsMatchNumeric) {
                            &rng_);
   Rng tree_rng(7);
   SampledTree tree = engine.SampleTree(0, &tree_rng);
-  Tensor query_value = Tensor::Row({0.3, -0.1, 0.5, 0.2});
+  const Tensor query_value = Rows(1, 2);
+  const Tensor target_value = Rows(1, 3);
 
   auto build = [&](Tape* tape) {
     Var query = tape->Constant(query_value);
     Var rep = engine.PropagateOnTape(tape, tree, query);
     // Arbitrary scalar head over the representation.
-    Var target = tape->Constant(Tensor::Row({1.0, -2.0, 0.5, 1.5}));
+    Var target = tape->Constant(target_value);
     return tape->Sum(tape->Mul(rep, target));
   };
   auto loss_fn = [&]() {
@@ -146,7 +156,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PropCase{"h2k2_sage", 2, 2,
                                AggregatorKind::kGraphSage},
                       PropCase{"h1k4_sage", 1, 4,
-                               AggregatorKind::kGraphSage}),
+                               AggregatorKind::kGraphSage},
+                      // The benchmark's evaluation shape (dim 16, K = 6).
+                      PropCase{"h2k6_gcn_d16", 2, 6, AggregatorKind::kGcn,
+                               16}),
     [](const ::testing::TestParamInfo<PropCase>& info) {
       return std::string(info.param.name);
     });

@@ -1,12 +1,13 @@
 // Continuous-batching scheduler tests (DESIGN.md §13): late arrivals
 // joining in-flight batches bit-identically, the head-anchored batch
 // deadline, priority ordering under saturation, deadline/queue-full
-// shedding, concurrent-Shutdown safety, and the bounded latency-sample
-// buffer. Deterministic pausing uses the engine's BatchHook seam — no
-// sleep-and-hope scheduling.
+// shedding, concurrent-Shutdown safety, and the cache-line layout of the
+// engine's contended members. Deterministic pausing uses the engine's
+// BatchHook seam — no sleep-and-hope scheduling.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -23,7 +24,60 @@
 
 namespace kgag {
 namespace serve {
+
+/// Cache-line indices (64-byte lines from the object's start) of the
+/// ServingEngine members that different threads write at request rate.
+struct ServingEngineLayout {
+  struct Range {
+    size_t first_line;
+    size_t last_line;
+  };
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  // offsetof on a non-standard-layout class is conditionally supported;
+  // GCC and Clang give the member's byte offset for any class without
+  // virtual bases, which ServingEngine has none of.
+  static Range Of(size_t offset, size_t size) {
+    return {offset / 64, (offset + size - 1) / 64};
+  }
+  static Range Mutex() {
+    return Of(offsetof(ServingEngine, mu_), sizeof(std::mutex));
+  }
+  static Range PoolSide() {
+    const size_t begin = offsetof(ServingEngine, served_);
+    const size_t end = offsetof(ServingEngine, start_time_) +
+                       sizeof(std::chrono::steady_clock::time_point);
+    return Of(begin, end - begin);
+  }
+  static Range SubmitSide() {
+    return Of(offsetof(ServingEngine, next_req_), sizeof(uint64_t));
+  }
+#pragma GCC diagnostic pop
+};
+
 namespace {
+
+bool SharesLine(ServingEngineLayout::Range a, ServingEngineLayout::Range b) {
+  return a.first_line <= b.last_line && b.first_line <= a.last_line;
+}
+
+TEST(ServingEngineLayoutTest, HotMembersKeepTheirOwnCacheLines) {
+  // A shared line turns every write into cross-core traffic for the
+  // other side: mu_ is taken per request, the pool side is written per
+  // finished request, the Submit side per submitted one.
+  const auto mu = ServingEngineLayout::Mutex();
+  const auto pool = ServingEngineLayout::PoolSide();
+  const auto submit = ServingEngineLayout::SubmitSide();
+  EXPECT_EQ(pool.first_line, pool.last_line) << "pool side spans two lines";
+  EXPECT_FALSE(SharesLine(mu, pool));
+  EXPECT_FALSE(SharesLine(mu, submit));
+  EXPECT_FALSE(SharesLine(pool, submit));
+  // Members after next_req_ would share its line; it is the last one, and
+  // the class's 64-byte alignment pads the object to the line's end.
+  EXPECT_EQ(alignof(ServingEngine), 64u);
+  EXPECT_EQ(sizeof(ServingEngine) % 64, 0u);
+  EXPECT_EQ(submit.last_line, sizeof(ServingEngine) / 64 - 1);
+}
 
 using Clock = std::chrono::steady_clock;
 

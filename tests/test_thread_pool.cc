@@ -41,6 +41,19 @@ TEST(ThreadPoolTest, ParallelForGrainZeroItemsIsNoop) {
   pool.ParallelFor(0, 16, [](size_t) { FAIL() << "must not be called"; });
 }
 
+TEST(ThreadPoolTest, ForEachIndexCoversEachIndexOnceWithOrWithoutPool) {
+  ThreadPool pool(3);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
+      std::vector<std::atomic<int>> hits(n);
+      ForEachIndex(p, n, [&](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
+      }
+    }
+  }
+}
+
 TEST(ThreadPoolTest, InWorkerThreadFlag) {
   EXPECT_FALSE(ThreadPool::InWorkerThread());
   ThreadPool pool(2);
