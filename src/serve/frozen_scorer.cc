@@ -1,9 +1,11 @@
 #include "serve/frozen_scorer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/check.h"
+#include "eval/metrics.h"
 #include "obs/obs.h"
 #include "tensor/kernels.h"
 
@@ -138,17 +140,23 @@ void QuantSpGemm(QuantType type, uint32_t block, size_t m, size_t n,
 
 void MemberStack::SpLogitsAllItems(double* out) const {
   KGAG_TRACE_SPAN("serve.score_kernel.gemm");
+  SpLogitsTile(0, static_cast<size_t>(model_->num_items), out);
+}
+
+void MemberStack::SpLogitsTile(size_t first, size_t count,
+                               double* out) const {
+  KGAG_CHECK_LE(first + count, static_cast<size_t>(model_->num_items));
   const size_t d = static_cast<size_t>(model_->dim);
-  const size_t n = static_cast<size_t>(model_->num_items);
   const RepView qi = model_->ItemView();
   if (model_->quant == QuantType::kFp64) {
-    std::fill(out, out + rows_ * n, 0.0);  // Gemm accumulates
-    kernels::Gemm(/*trans_a=*/false, /*trans_b=*/true, rows_, n, d,
-                  emb_.data(), d, qi.F64Data(), d, out, n);
+    std::fill(out, out + rows_ * count, 0.0);  // Gemm accumulates
+    kernels::Gemm(/*trans_a=*/false, /*trans_b=*/true, rows_, count, d,
+                  emb_.data(), d, qi.F64Data() + first * d, d, out, count);
     return;
   }
-  QuantSpGemm(model_->quant, model_->quant_block, rows_, n, d, codes_.data(),
-              scales_.data(), qi.codes, qi.scales, out);
+  QuantSpGemm(model_->quant, model_->quant_block, rows_, count, d,
+              codes_.data(), scales_.data(), qi.RowData(first),
+              qi.ScalesPerRow() != 0 ? qi.RowScales(first) : nullptr, out);
 }
 
 void MemberStack::SpLogits(std::span<const ItemId> items, double* out) const {
@@ -211,6 +219,117 @@ std::vector<double> ScoreItems(const FrozenModel& model, const GroupRep& rep,
   std::vector<double> scores(p);
   ReduceScores(model, rep, sp.data(), p, p, scores.data());
   return scores;
+}
+
+namespace {
+
+// Items per scan tile: a tile's sp block (stacked member rows x kScanTile
+// doubles, 512 KiB at 128 rows) and its item rows stay in a core's L2
+// while the tile is reduced and ranked.
+constexpr size_t kScanTile = 512;
+
+}  // namespace
+
+std::vector<RankedItems> ScanTopK(const FrozenModel& model,
+                                  std::span<const GroupRep* const> reps,
+                                  std::span<const ScanQuery> queries,
+                                  ThreadPool* pool) {
+  const size_t n = static_cast<size_t>(model.num_items);
+  const size_t nq = queries.size();
+  MemberStack stack(model);
+  std::vector<size_t> row_offset;
+  row_offset.reserve(reps.size());
+  for (const GroupRep* rep : reps) row_offset.push_back(stack.Append(*rep));
+
+  // k is clamped to the catalog before anything is sized by it; each
+  // query's exclusions are sorted once so a tile filters them in one
+  // forward walk.
+  std::vector<size_t> k(nq);
+  std::vector<std::vector<ItemId>> excluded(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    KGAG_CHECK_LT(queries[q].group, reps.size());
+    k[q] = std::min(queries[q].k, n);
+    excluded[q].assign(queries[q].exclude.begin(), queries[q].exclude.end());
+    std::sort(excluded[q].begin(), excluded[q].end());
+  }
+
+  const size_t tile = std::min(n, kScanTile);
+  const size_t tiles = tile == 0 ? 0 : (n + tile - 1) / tile;
+  // Each (tile, query) pair's top-k lands in its own slot of one flat
+  // buffer, so the merge below reads the same entries whichever lane
+  // ran which tile.
+  std::vector<size_t> slot_begin(tiles * nq + 1, 0);
+  for (size_t t = 0; t < tiles; ++t) {
+    const size_t nt = std::min(tile, n - t * tile);
+    for (size_t q = 0; q < nq; ++q) {
+      const size_t s = t * nq + q;
+      slot_begin[s + 1] = slot_begin[s] + std::min(k[q], nt);
+    }
+  }
+  std::vector<TopKHeap::Entry> slots(slot_begin.back());
+  std::vector<size_t> slot_size(tiles * nq, 0);
+
+  // Lanes claim tiles dynamically, so a lane that starts late on a busy
+  // pool just claims fewer; each owns its buffers and per-query heaps.
+  std::atomic<size_t> next_tile{0};
+  auto run_lane = [&](size_t /*lane*/) {
+    std::vector<TopKHeap> heaps;
+    heaps.reserve(nq);
+    for (size_t q = 0; q < nq; ++q) heaps.emplace_back(k[q], tile);
+    std::vector<double> sp(stack.rows() * tile);
+    std::vector<double> scores(tile);
+    for (size_t t = next_tile.fetch_add(1); t < tiles;
+         t = next_tile.fetch_add(1)) {
+      const size_t j0 = t * tile;
+      const size_t nt = std::min(tile, n - j0);
+      stack.SpLogitsTile(j0, nt, sp.data());
+      for (size_t g = 0; g < reps.size(); ++g) {
+        ReduceScores(model, *reps[g], sp.data() + row_offset[g] * nt, nt, nt,
+                     scores.data());
+        for (size_t q = 0; q < nq; ++q) {
+          if (queries[q].group != g) continue;
+          const std::vector<ItemId>& ex = excluded[q];
+          auto next_ex = std::lower_bound(ex.begin(), ex.end(),
+                                          static_cast<ItemId>(j0));
+          for (size_t p = 0; p < nt; ++p) {
+            const auto j = static_cast<ItemId>(j0 + p);
+            while (next_ex != ex.end() && *next_ex < j) ++next_ex;
+            if (next_ex != ex.end() && *next_ex == j) continue;
+            heaps[q].Push(scores[p], j0 + p);
+          }
+          const std::vector<TopKHeap::Entry>& top = heaps[q].entries();
+          std::copy(top.begin(), top.end(),
+                    slots.begin() + slot_begin[t * nq + q]);
+          slot_size[t * nq + q] = top.size();
+          heaps[q].Clear();
+        }
+      }
+    }
+  };
+  // A single lane (a one-tile catalog, or no pool) runs inline.
+  const size_t lanes =
+      pool == nullptr ? 1 : std::min(tiles, pool->num_threads() + 1);
+  ForEachIndex(pool, lanes, run_lane);
+
+  std::vector<RankedItems> out(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    KGAG_TRACE_SPAN_REQ("serve.topk", queries[q].req_id);
+    TopKHeap merged(k[q], n);
+    for (size_t t = 0; t < tiles; ++t) {
+      const auto first = slots.begin() + slot_begin[t * nq + q];
+      for (auto it = first; it != first + slot_size[t * nq + q]; ++it) {
+        merged.Push(it->first, it->second);
+      }
+    }
+    const std::vector<TopKHeap::Entry> top = merged.TakeSorted();
+    out[q].items.reserve(top.size());
+    out[q].scores.reserve(top.size());
+    for (const auto& [score, j] : top) {
+      out[q].items.push_back(static_cast<ItemId>(j));
+      out[q].scores.push_back(score);
+    }
+  }
+  return out;
 }
 
 FrozenGroupScorer::FrozenGroupScorer(const FrozenModel* model,

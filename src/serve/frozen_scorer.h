@@ -16,6 +16,13 @@
 // when use_sp is off (it is <u_i, v> either way); use_sp only controls
 // whether it enters the softmax logit.
 //
+// Serving runs that math as ScanTopK: one pass over fixed item tiles,
+// each tile's sp block, scores and bounded top-k heaps staying in cache,
+// tiles fanned out over a pool. Evaluation and the oracle paths
+// (ScoreAllItems, ScoreItems) materialize S and the score vector
+// instead; both reach every item score through the same kernels, so they
+// agree bit for bit (tests/test_serve.cc pins this).
+//
 // Group canonicalization: members are sorted and deduplicated before any
 // arithmetic. This is the cache-key rule AND a correctness rule — scores
 // become independent of the order a client lists members in (floating
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "data/interactions.h"
 #include "eval/group_scorer.h"
 #include "serve/frozen_model.h"
@@ -58,11 +66,11 @@ Result<GroupRep> BuildGroupRep(const FrozenModel& model,
                                std::span<const UserId> members);
 
 /// \brief Member rows from one or more reps stacked contiguously at the
-/// model's storage precision, so a whole batch of groups shares ONE
+/// model's storage precision, so a whole batch of groups shares each
 /// sp-logit GEMM against the item table. This is the single kernel entry
 /// point for S = U_members · V^T — ScoreAllItems/ScoreItems (offline
-/// eval) and ServingEngine::ExecuteBatch (online batches) all build one,
-/// which is what keeps the fp64 and quantized paths from drifting apart.
+/// eval) and ScanTopK (online batches) all build one, which is what keeps
+/// the fp64 and quantized paths from drifting apart.
 ///
 /// On an fp64 model the rows are the member reps themselves and the GEMM
 /// is kernels::Gemm, bit-identical to scoring each rep alone. On a
@@ -84,6 +92,12 @@ class MemberStack {
   /// S against every item: out = (rows() x num_items), row-major,
   /// leading dimension num_items, OVERWRITTEN.
   void SpLogitsAllItems(double* out) const;
+
+  /// S against the item range [first, first + count): out = (rows() x
+  /// count), row-major, leading dimension count, OVERWRITTEN. One kernel
+  /// call, so each item row is converted once for all member rows.
+  /// Per-item results are bit-identical to SpLogitsAllItems.
+  void SpLogitsTile(size_t first, size_t count, double* out) const;
 
   /// S against an explicit candidate list (gathers the candidate rows):
   /// out = (rows() x items.size()), leading dimension items.size(),
@@ -122,6 +136,43 @@ std::vector<double> ScoreAllItems(const FrozenModel& model,
 /// k-order regardless of which other rows/columns are in the call.
 std::vector<double> ScoreItems(const FrozenModel& model, const GroupRep& rep,
                                std::span<const ItemId> items);
+
+/// \brief One ranking request of a ScanTopK call.
+struct ScanQuery {
+  size_t group = 0;  ///< index into the scan's reps
+  /// Items to return; anything above the catalog size means all of it.
+  size_t k = 0;
+  /// Items never ranked, in any order (duplicates and out-of-range ids
+  /// are harmless). Filtered at rank time, so they change no score bits.
+  std::span<const ItemId> exclude;
+  uint64_t req_id = 0;  ///< labels the query's serve.topk merge span
+};
+
+/// \brief Ranked items: items[0] is the best; ties go to the smaller id.
+struct RankedItems {
+  std::vector<ItemId> items;
+  std::vector<double> scores;  ///< parallel to items
+};
+
+/// The serving scan: every query's top-k over the whole catalog, for a
+/// batch of distinct group reps. The catalog is cut into fixed tiles of
+/// items (a constant sized so a tile's sp block stays in a core's L2);
+/// per tile it runs one SpLogitsTile for all reps' stacked rows, one
+/// ReduceScores per rep into a tile-local buffer, and feeds each query's
+/// bounded heap with exclusions filtered. Nothing catalog-sized is
+/// materialized.
+///
+/// With a pool and more than one tile, tiles are claimed dynamically by
+/// up to num_threads()+1 lanes (the caller is one); a one-tile catalog
+/// (or no pool) runs inline. Each tile's per-query heaps merge at the
+/// end under the TopKIndicesWhere order. That order is total and every
+/// item's score is computed by the same fixed-order kernels as
+/// ScoreAllItems, so the result is bit-identical to ScoreAllItems +
+/// TopKIndicesWhere for any tile partition, pool or thread count.
+std::vector<RankedItems> ScanTopK(const FrozenModel& model,
+                                  std::span<const GroupRep* const> reps,
+                                  std::span<const ScanQuery> queries,
+                                  ThreadPool* pool);
 
 /// \brief GroupScorer adapter: lets RankingEvaluator run the standard
 /// offline protocol against a frozen artifact, resolving group ids to

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "eval/metrics.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -162,27 +161,6 @@ Result<std::shared_ptr<const GroupRep>> ServingEngine::GetRep(
   return std::shared_ptr<const GroupRep>(rep);
 }
 
-TopKResult ServingEngine::Rank(const std::vector<double>& scores, size_t k,
-                               std::span<const ItemId> exclude_seen) const {
-  // Exclusions filter at rank time: the GEMM shape and every surviving
-  // item's score bits are unaffected by what a request excludes.
-  std::vector<ItemId> excluded(exclude_seen.begin(), exclude_seen.end());
-  std::sort(excluded.begin(), excluded.end());
-  const std::vector<size_t> top =
-      TopKIndicesWhere(scores, k, [&](size_t i) {
-        return !std::binary_search(excluded.begin(), excluded.end(),
-                                   static_cast<ItemId>(i));
-      });
-  TopKResult result;
-  result.items.reserve(top.size());
-  result.scores.reserve(top.size());
-  for (size_t i : top) {
-    result.items.push_back(static_cast<ItemId>(i));
-    result.scores.push_back(scores[i]);
-  }
-  return result;
-}
-
 uint64_t ServingEngine::FinishRequest(Clock::time_point start) {
   const uint64_t seq = served_.fetch_add(1, std::memory_order_relaxed) + 1;
   KGAG_COUNTER_ADD("serve.requests", 1);
@@ -238,16 +216,17 @@ Result<TopKResult> ServingEngine::TopK(std::span<const UserId> members,
     FailRequest(start);
     return rep.status();
   }
-  std::vector<double> scores;
+  const GroupRep* reps[] = {rep->get()};
+  const ScanQuery query{.group = 0, .k = k, .exclude = exclude_seen,
+                        .req_id = req_id};
+  std::vector<RankedItems> ranked;
   {
     KGAG_TRACE_SPAN_REQ("serve.score_kernel", req_id);
-    scores = ScoreAllItems(*slot.model, **rep);
+    ranked = ScanTopK(*slot.model, reps, {&query, 1}, options_.pool);
   }
   TopKResult result;
-  {
-    KGAG_TRACE_SPAN_REQ("serve.topk", req_id);
-    result = Rank(scores, k, exclude_seen);
-  }
+  result.items = std::move(ranked[0].items);
+  result.scores = std::move(ranked[0].scores);
   result.cache_hit = cache_hit;
   batches_.fetch_add(1, std::memory_order_relaxed);
   KGAG_COUNTER_ADD("serve.batches", 1);
@@ -395,15 +374,9 @@ void ServingEngine::DispatcherLoop() {
     }
     if (batch.empty()) continue;  // everything expired in the queue
 
-    if (options_.pool != nullptr) {
-      // The batch body (rep building, in-flight admission, the stacked
-      // GEMM, reduce + rank) runs on the shared compute pool; `batch`
-      // outlives the task since we block on its future.
-      options_.pool->Submit([this, &batch] { ExecuteBatch(std::move(batch)); })
-          .get();
-    } else {
-      ExecuteBatch(std::move(batch));
-    }
+    // The batch runs here, not as a pool task: the scan fans its tiles
+    // out over the pool, which a pool worker would run inline.
+    ExecuteBatch(std::move(batch));
   }
 }
 
@@ -415,7 +388,6 @@ void ServingEngine::ExecuteBatch(std::vector<Pending> batch) {
   // computed against this snapshot, so no response can mix versions.
   const ModelSlot slot = CurrentSlot();
   const FrozenModel& model = *slot.model;
-  const size_t n = static_cast<size_t>(model.num_items);
 
   // Stable storage for the whole batch, late admits included: Live
   // holds Pending pointers, so the vector must never reallocate.
@@ -444,7 +416,6 @@ void ServingEngine::ExecuteBatch(std::vector<Pending> batch) {
     Pending* pending;
     std::shared_ptr<const GroupRep> rep;
     bool cache_hit;
-    size_t row_offset;
   };
   std::vector<Live> live;
   live.reserve(options_.max_batch);
@@ -468,7 +439,7 @@ void ServingEngine::ExecuteBatch(std::vector<Pending> batch) {
         p.promise.set_value(rep.status());
         continue;
       }
-      live.push_back(Live{&p, rep.MoveValueUnsafe(), hit, 0});
+      live.push_back(Live{&p, rep.MoveValueUnsafe(), hit});
     }
   };
   admit(0);
@@ -510,45 +481,39 @@ void ServingEngine::ExecuteBatch(std::vector<Pending> batch) {
   // cache-served duplicates; the member compare catches rebuilt reps
   // (cache disabled or evicted mid-batch). O(batch²) is fine at
   // max_batch <= a few dozen.
-  std::vector<size_t> owner(live.size());
-  std::vector<size_t> distinct;
+  std::vector<const GroupRep*> reps;
+  std::vector<ScanQuery> queries(live.size());
   {
     KGAG_TRACE_SPAN("serve.coalesce");
     for (size_t i = 0; i < live.size(); ++i) {
-      owner[i] = live.size();
-      for (size_t di : distinct) {
-        if (live[i].rep == live[di].rep ||
-            live[i].rep->members == live[di].rep->members) {
-          owner[i] = di;
-          break;
-        }
+      const GroupRep* rep = live[i].rep.get();
+      size_t g = 0;
+      while (g < reps.size() && reps[g] != rep &&
+             reps[g]->members != rep->members) {
+        ++g;
       }
-      if (owner[i] == live.size()) {
-        owner[i] = i;
-        distinct.push_back(i);
-      }
+      if (g == reps.size()) reps.push_back(rep);
+      const Pending& p = *live[i].pending;
+      queries[i] = ScanQuery{.group = g,
+                             .k = p.request.k,
+                             .exclude = p.request.exclude_seen,
+                             .req_id = p.req_id};
     }
   }
-  const uint64_t coalesced =
-      static_cast<uint64_t>(live.size() - distinct.size());
+  const uint64_t coalesced = static_cast<uint64_t>(live.size() - reps.size());
   coalesced_.fetch_add(coalesced, std::memory_order_relaxed);
   KGAG_COUNTER_ADD("serve.coalesced_requests", coalesced);
 
-  // One stacked GEMM for the whole batch: the distinct groups' member
-  // rows concatenated at the model's precision (MemberStack), scored
-  // against the full item table in a single pass — kernels::Gemm for
-  // fp64 models, the matching QGemm* kernel for quantized ones. Each
+  // One scan for the whole batch: per item tile, one sp-logit GEMM over
+  // the distinct groups' stacked member rows, one softmax reduce per
+  // distinct group and one bounded heap per request (ScanTopK). Each
   // output row's k-accumulation order is position-independent, so every
-  // request's logits match what a solo GEMM would produce — late admits
+  // request's scores match what a solo TopK produces — late admits
   // included.
-  MemberStack stack(model);
-  for (size_t di : distinct) {
-    live[di].row_offset = stack.Append(*live[di].rep);
-  }
-  std::vector<double> sp(stack.rows() * n);
+  std::vector<RankedItems> ranked;
   {
     KGAG_TRACE_SPAN("serve.score_kernel");
-    stack.SpLogitsAllItems(sp.data());
+    ranked = ScanTopK(model, reps, queries, options_.pool);
   }
 
   // Count the batch before fulfilling any promise: a caller that has
@@ -558,26 +523,17 @@ void ServingEngine::ExecuteBatch(std::vector<Pending> batch) {
   KGAG_HISTOGRAM_OBSERVE("serve.batch_size", static_cast<double>(live.size()),
                          ::kgag::obs::CountBounds());
 
-  std::vector<double> scores(n);
-  for (size_t di : distinct) {
-    ReduceScores(model, *live[di].rep, sp.data() + live[di].row_offset * n,
-                 n, n, scores.data());
-    for (size_t i = 0; i < live.size(); ++i) {
-      if (owner[i] != di) continue;
-      const Live& l = live[i];
-      TopKResult result;
-      {
-        KGAG_TRACE_SPAN_REQ("serve.topk", l.pending->req_id);
-        result = Rank(scores, l.pending->request.k,
-                      l.pending->request.exclude_seen);
-      }
-      result.cache_hit = l.cache_hit;
-      KGAG_TRACE_SPAN_REQ("serve.reply", l.pending->req_id);
-      // Bookkeeping first: once the promise is fulfilled the submitter
-      // may read requests_served() and must not see a stale count.
-      result.sequence = FinishRequest(l.pending->enqueued);
-      l.pending->promise.set_value(std::move(result));
-    }
+  for (size_t i = 0; i < live.size(); ++i) {
+    const Live& l = live[i];
+    KGAG_TRACE_SPAN_REQ("serve.reply", l.pending->req_id);
+    TopKResult result;
+    result.items = std::move(ranked[i].items);
+    result.scores = std::move(ranked[i].scores);
+    result.cache_hit = l.cache_hit;
+    // Bookkeeping first: once the promise is fulfilled the submitter
+    // may read requests_served() and must not see a stale count.
+    result.sequence = FinishRequest(l.pending->enqueued);
+    l.pending->promise.set_value(std::move(result));
   }
 }
 

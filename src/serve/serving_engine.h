@@ -3,10 +3,12 @@
 //
 // Request path:
 //   canonicalize members -> GroupRepCache lookup -> (miss: BuildGroupRep,
-//   insert) -> SP-logit GEMM against the full item matrix -> per-item
-//   softmax-reduce (frozen_scorer.h) -> bounded-heap top-k with the
-//   exclusion set filtered at rank time (TopKIndicesWhere), so exclusions
-//   never change the GEMM shape or any surviving item's score bits.
+//   insert) -> ScanTopK (frozen_scorer.h): per fixed item tile, an
+//   SP-logit GEMM, the per-item softmax-reduce and a bounded-heap top-k
+//   with the exclusion set filtered at rank time, so exclusions never
+//   change the GEMM shape or any surviving item's score bits. Tiles fan
+//   out over Options::pool; the per-tile heaps merge under the
+//   TopKIndicesWhere order.
 //
 // Continuous batching: Submit() enqueues the request and returns a
 // future. A dispatcher thread coalesces up to max_batch requests —
@@ -15,9 +17,11 @@
 // member reps are being resolved, newly arrived requests are admitted
 // into the still-forming in-flight batch until every slot is taken
 // (llama.cpp server slot model; Options::continuous_admission). Only
-// then does ONE blocked GEMM (Σ|members| x dim)·(dim x num_items) run
-// for the whole batch, each request reduced and ranked from its row
-// block. Requests for the same canonical group are coalesced first:
+// then does ONE scan run for the whole batch: per item tile, one GEMM
+// over all the batch's stacked member rows (Σ|members| x dim)·(dim x
+// tile), then each request reduced and ranked from its row block. The
+// dispatcher runs the batch itself so the scan's tiles can fan out over
+// the pool. Requests for the same canonical group are coalesced first:
 // duplicates share both the GEMM rows and the per-item softmax reduce,
 // and only the final rank (k, exclusions) runs per request. Each output
 // row's accumulation order is independent of the other rows in the
@@ -46,8 +50,9 @@
 // Request-scoped tracing: every request gets a monotonic id at
 // Submit()/TopK() time; the spans it touches on any thread
 // (serve.submit -> serve.queue_wait -> serve.rep_build ->
-// serve.score_kernel -> serve.topk -> serve.reply, under the
-// batch-level serve.batch/serve.coalesce envelopes) carry that id, so
+// serve.score_kernel, the scan, enclosing the request's serve.topk heap
+// merge -> serve.reply, under the batch-level
+// serve.batch/serve.coalesce envelopes) carry that id, so
 // one request's life is reconstructable from /tracez or the
 // chrome://tracing export even though it crosses the dispatcher thread
 // boundary.
@@ -145,8 +150,9 @@ class ServingEngine {
     /// only). Large groups make entry count a poor memory proxy; see
     /// GroupRepCache.
     size_t cache_max_bytes = 0;
-    /// Borrowed pool the batch bodies run on; nullptr = dispatcher
-    /// thread runs them inline. Must outlive the engine.
+    /// Borrowed pool the scan fans its item tiles out over, for batches
+    /// and synchronous TopK alike; nullptr = the scan runs inline on the
+    /// calling thread. Must outlive the engine.
     ThreadPool* pool = nullptr;
     /// Queued-request bound across both priority classes (0 =
     /// unbounded). Arrivals beyond it are shed at admission with
@@ -295,14 +301,10 @@ class ServingEngine {
       const ModelSlot& slot, std::span<const UserId> members,
       bool* cache_hit, uint64_t req_id);
 
-  /// Rank-time filtering + bounded-heap selection over full-catalog
-  /// scores (index == item id).
-  TopKResult Rank(const std::vector<double>& scores, size_t k,
-                  std::span<const ItemId> exclude_seen) const;
-
   void DispatcherLoop();
-  /// Scores a batch with one stacked GEMM and fulfills every promise.
-  /// Pulls late arrivals into the batch while reps resolve.
+  /// Scores a batch with one stacked scan and fulfills every promise.
+  /// Pulls late arrivals into the batch while reps resolve. Runs on the
+  /// dispatcher thread.
   void ExecuteBatch(std::vector<Pending> batch);
 
   size_t QueueDepthLocked() const;

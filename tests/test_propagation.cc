@@ -160,8 +160,8 @@ INSTANTIATE_TEST_SUITE_P(
                       // The benchmark's evaluation shape (dim 16, K = 6).
                       PropCase{"h2k6_gcn_d16", 2, 6, AggregatorKind::kGcn,
                                16}),
-    [](const ::testing::TestParamInfo<PropCase>& info) {
-      return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<PropCase>& param_info) {
+      return std::string(param_info.param.name);
     });
 
 TEST(PropagationEngineTest, DifferentQueriesGiveDifferentReps) {

@@ -276,8 +276,8 @@ TEST_P(SeededProperty, GroupBuilderInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "seed" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<uint64_t>& p) {
+                           return "seed" + std::to_string(p.param);
                          });
 
 }  // namespace

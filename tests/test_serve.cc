@@ -1,9 +1,12 @@
 // Serving subsystem tests: KGAGSRV2 round trip + corruption rejection,
-// the eval/serve bit-identity contract, batched-vs-solo GEMM bit
-// identity, ad-hoc group handling (single member, duplicates, order
-// independence, untrained sizes) and rank-time exclusion semantics.
+// the eval/serve bit-identity contract, the tiled serving scan against
+// the materialized reference path, batched-vs-solo bit identity, ad-hoc
+// group handling (single member, duplicates, order independence,
+// untrained sizes) and rank-time exclusion semantics.
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -14,6 +17,8 @@
 #include <vector>
 
 #include "common/file_io.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/synthetic/standard_datasets.h"
 #include "eval/metrics.h"
 #include "eval/ranking_evaluator.h"
@@ -223,6 +228,177 @@ TEST_F(ServeTest, SubsetScoresBitIdenticalToFullCatalog) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The serving scan (ScanTopK) against the materialized reference path
+
+constexpr size_t kTile = 512;  // ScanTopK's item tile
+
+/// A hand-built fp64 model whose catalog spans three full scan tiles and
+/// a ragged fourth. Every user shares one direction, and the items on
+/// both sides of each tile boundary are duplicate rows along it: they are
+/// every group's best items, with equal scores straddling tile edges.
+FrozenModel MakeMultiTileModel() {
+  constexpr int kDim = 24;
+  constexpr int kGroupSize = 4;
+  constexpr int kUsers = 40;
+  constexpr int kItems = 3 * static_cast<int>(kTile) + 77;
+  Rng rng(2024);
+  auto fill = [&rng](Tensor* t, double lo, double hi) {
+    for (size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.Uniform(lo, hi);
+  };
+  FrozenModel m;
+  m.dim = kDim;
+  m.group_size = kGroupSize;
+  m.num_users = kUsers;
+  m.num_items = kItems;
+  m.user_emb = Tensor(kUsers, kDim);
+  m.item_emb = Tensor(kItems, kDim);
+  fill(&m.user_emb, -0.4, 0.4);
+  fill(&m.item_emb, -0.4, 0.4);
+  std::vector<double> shared(kDim);
+  for (double& x : shared) x = rng.Uniform(0.2, 0.5);
+  for (int u = 0; u < kUsers; ++u) {
+    for (int c = 0; c < kDim; ++c) m.user_emb.at(u, c) += shared[c];
+  }
+  for (size_t v : {kTile - 1, kTile, 2 * kTile - 1, 2 * kTile,
+                   3 * kTile - 1, 3 * kTile}) {
+    for (int c = 0; c < kDim; ++c) m.item_emb.at(v, c) = 2.0 * shared[c];
+  }
+  m.w1 = Tensor(kDim, kDim);
+  m.w2 = Tensor(kDim * (kGroupSize - 1), kDim);
+  m.bias = Tensor(1, kDim);
+  m.vc = Tensor(kDim, 1);
+  fill(&m.w1, -0.1, 0.1);
+  fill(&m.w2, -0.05, 0.05);
+  fill(&m.bias, -0.1, 0.1);
+  fill(&m.vc, -0.2, 0.2);
+  return m;
+}
+
+TEST(ScanTopKTest, BitIdenticalToMaterializedReference) {
+  const FrozenModel fp64 = MakeMultiTileModel();
+  const size_t n = static_cast<size_t>(fp64.num_items);
+  ASSERT_GT(n % kTile, 0u) << "the last tile must be ragged";
+  // The trained group size (twice), an ad-hoc size and a single member;
+  // every rep serves several queries, as coalesced requests do.
+  const std::vector<std::vector<UserId>> groups = {
+      {0, 1, 2, 3}, {4, 9}, {17}, {5, 6, 7, 8}};
+  // First and last item of every tile, a duplicate and two ids outside
+  // the catalog.
+  const std::vector<ItemId> edges = {
+      0, 511, 512, 1023, 1024, 1535, 1536, static_cast<ItemId>(n - 1),
+      512, -3, static_cast<ItemId>(n + 9)};
+  const std::vector<size_t> ks = {0, 1, 10, kTile + 1, n + 5};
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  struct Tier {
+    QuantType type;
+    uint32_t block;
+  };
+  for (const Tier tier : {Tier{QuantType::kFp64, 0}, Tier{QuantType::kFp32, 0},
+                          Tier{QuantType::kFp16, 0}, Tier{QuantType::kInt8, 0},
+                          Tier{QuantType::kInt8, 8}}) {
+    SCOPED_TRACE(std::string(QuantTypeName(tier.type)) + " block " +
+                 std::to_string(tier.block));
+    Result<FrozenModel> model = QuantizeFrozenModel(fp64, tier.type,
+                                                    tier.block);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+    // Reference: materialize S for every group, reduce, rank.
+    std::vector<GroupRep> reps;
+    MemberStack stack(*model);
+    std::vector<size_t> offsets;
+    for (const std::vector<UserId>& members : groups) {
+      Result<GroupRep> rep = BuildGroupRep(*model, members);
+      ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+      offsets.push_back(stack.Append(*rep));
+      reps.push_back(std::move(*rep));
+    }
+    std::vector<double> sp(stack.rows() * n);
+    stack.SpLogitsAllItems(sp.data());
+    std::vector<std::vector<double>> scores(reps.size(),
+                                            std::vector<double>(n));
+    for (size_t g = 0; g < reps.size(); ++g) {
+      ReduceScores(*model, reps[g], sp.data() + offsets[g] * n, n, n,
+                   scores[g].data());
+    }
+
+    std::vector<const GroupRep*> rep_ptrs;
+    for (const GroupRep& rep : reps) rep_ptrs.push_back(&rep);
+    std::vector<ScanQuery> queries;
+    for (size_t g = 0; g < reps.size(); ++g) {
+      for (size_t k : ks) {
+        queries.push_back({.group = g, .k = k, .exclude = {}});
+        queries.push_back({.group = g, .k = k, .exclude = edges});
+      }
+    }
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1,
+                             &pool4}) {
+      SCOPED_TRACE(pool == nullptr ? 0 : pool->num_threads());
+      const std::vector<RankedItems> got =
+          ScanTopK(*model, rep_ptrs, queries, pool);
+      ASSERT_EQ(got.size(), queries.size());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const ScanQuery& query = queries[q];
+        std::vector<ItemId> excluded(query.exclude.begin(),
+                                     query.exclude.end());
+        std::sort(excluded.begin(), excluded.end());
+        const std::vector<size_t> want = TopKIndicesWhere(
+            scores[query.group], query.k, [&](size_t i) {
+              return !std::binary_search(excluded.begin(), excluded.end(),
+                                         static_cast<ItemId>(i));
+            });
+        ASSERT_EQ(got[q].items.size(), want.size()) << "query " << q;
+        ASSERT_EQ(got[q].scores.size(), want.size()) << "query " << q;
+        for (size_t r = 0; r < want.size(); ++r) {
+          ASSERT_EQ(got[q].items[r], static_cast<ItemId>(want[r]))
+              << "query " << q << " rank " << r;
+          const double expect = scores[query.group][want[r]];
+          ASSERT_EQ(std::memcmp(&got[q].scores[r], &expect, sizeof(double)),
+                    0)
+              << "query " << q << " rank " << r;
+        }
+        if (query.exclude.empty() && query.k >= 2) {
+          // The data does exercise the tie: one score across the edge.
+          EXPECT_EQ(got[q].items[0], static_cast<ItemId>(kTile - 1));
+          EXPECT_EQ(got[q].items[1], static_cast<ItemId>(kTile));
+          EXPECT_EQ(got[q].scores[0], got[q].scores[1]);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanTopKTest, EngineFansMultiTileBatchesOverItsPool) {
+  // Batches and synchronous calls scanning a multi-tile catalog on a
+  // 4-thread pool answer exactly as a pool-less engine does.
+  const FrozenModel model = MakeMultiTileModel();
+  ServingEngine solo(&model, {.max_batch = 1, .cache_capacity = 0});
+  ThreadPool pool(4);
+  ServingEngine pooled(&model, {.max_batch = 8,
+                                .batch_deadline_us = 20000,
+                                .cache_capacity = 8,
+                                .pool = &pool});
+  const std::vector<std::vector<UserId>> groups = {
+      {0, 1, 2, 3}, {4, 9}, {17}, {0, 1, 2, 3}, {20, 21, 22, 23}};
+  const std::vector<ItemId> exclude = {511, 512, 1024};
+  std::vector<std::future<Result<TopKResult>>> futures;
+  for (const std::vector<UserId>& members : groups) {
+    futures.push_back(
+        pooled.Submit({.members = members, .k = 10, .exclude_seen = exclude}));
+  }
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const Result<TopKResult> want = solo.TopK(groups[i], 10, exclude);
+    const Result<TopKResult> sync = pooled.TopK(groups[i], 10, exclude);
+    const Result<TopKResult> batched = futures[i].get();
+    ASSERT_TRUE(want.ok() && sync.ok() && batched.ok());
+    EXPECT_EQ(sync->items, want->items) << "group " << i;
+    EXPECT_EQ(sync->scores, want->scores) << "group " << i;
+    EXPECT_EQ(batched->items, want->items) << "group " << i;
+    EXPECT_EQ(batched->scores, want->scores) << "group " << i;
+  }
+}
+
 TEST_F(ServeTest, BatchedSubmitBitIdenticalToSoloTopK) {
   // Solo reference results, one engine per mode so counters stay clean.
   ServingEngine solo(frozen_, {.max_batch = 1, .cache_capacity = 0});
@@ -361,13 +537,24 @@ TEST_F(ServeTest, SingleMemberGroupScoresAreDotProducts) {
 }
 
 TEST_F(ServeTest, KLargerThanCatalogReturnsEverythingRanked) {
+  // Up to the wire's u32 ceiling, through both paths: k sizes no
+  // allocation on its own, so an untrusted k cannot exhaust memory.
   ServingEngine engine(frozen_, {.max_batch = 1, .cache_capacity = 0});
-  const size_t huge_k = static_cast<size_t>(frozen_->num_items) * 10;
-  Result<TopKResult> r = engine.TopK(Members(0), huge_k);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->items.size(), static_cast<size_t>(frozen_->num_items));
-  for (size_t i = 1; i < r->scores.size(); ++i) {
-    EXPECT_GE(r->scores[i - 1], r->scores[i]) << "not descending at " << i;
+  for (size_t k : {static_cast<size_t>(frozen_->num_items) * 10,
+                   size_t{UINT32_MAX}}) {
+    Result<TopKResult> solo = engine.TopK(Members(0), k);
+    Result<TopKResult> queued =
+        engine.Submit({.members = Members(0), .k = k, .exclude_seen = {}})
+            .get();
+    for (const Result<TopKResult>* r : {&solo, &queued}) {
+      ASSERT_TRUE(r->ok()) << r->status().ToString();
+      EXPECT_EQ((*r)->items.size(), static_cast<size_t>(frozen_->num_items));
+      for (size_t i = 1; i < (*r)->scores.size(); ++i) {
+        EXPECT_GE((*r)->scores[i - 1], (*r)->scores[i])
+            << "not descending at " << i;
+      }
+    }
+    EXPECT_EQ(queued->items, solo->items);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -321,6 +322,25 @@ TEST_F(NetTest, EngineErrorsTravelAsWireErrors) {
   Result<WireResponse> ok = Exchange(fd, request);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->status, WireStatus::kOk);
+  ::close(fd);
+}
+
+TEST_F(NetTest, MaxWireKIsClampedAndServerStaysUp) {
+  Harness h;
+  const int fd = MustConnect(h);
+  TopKRequest request;
+  request.members = Members(0);
+  request.k = UINT32_MAX;  // the u32 field's ceiling: "everything"
+  Result<WireResponse> all = Exchange(fd, request);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->status, WireStatus::kOk);
+  EXPECT_EQ(all->items.size(), static_cast<size_t>(frozen_->num_items));
+  // The same server keeps answering normal requests.
+  request.k = 2;
+  Result<WireResponse> next = Exchange(fd, request);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->status, WireStatus::kOk);
+  EXPECT_EQ(next->items.size(), 2u);
   ::close(fd);
 }
 

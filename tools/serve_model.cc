@@ -4,7 +4,8 @@
 //
 // Maps the KGAGSRV2 artifact at --artifact (LoadFrozenModelMmap, O(header)
 // startup; DESIGN.md §14), builds a
-// continuous-batching ServingEngine with the default serving SLOs,
+// continuous-batching ServingEngine with the default serving SLOs and a
+// pool of one worker per hardware thread for its scan,
 // enables request tracing, and serves /metrics, /healthz, /statusz and
 // /tracez on --port plus the binary/HTTP data plane (net_server.h) on
 // --data_port (both default 0 = ephemeral; the bound ports are printed
@@ -51,6 +52,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "obs/introspect.h"
 #include "obs/obs.h"
 #include "obs/slo.h"
@@ -279,7 +281,12 @@ int main(int argc, char** argv) {
 
   obs::TraceRecorder::Global().SetEnabled(true);
 
+  // One worker per hardware thread (0): the engine's scan fans each
+  // batch's item tiles out over it. Declared before the engine, which
+  // borrows it, so it outlives every batch.
+  ThreadPool scan_pool(0);
   serve::ServingEngine::Options engine_options;
+  engine_options.pool = &scan_pool;
   engine_options.max_batch = flags.max_batch;
   engine_options.max_queue = flags.max_queue;
   engine_options.slo_objectives = obs::DefaultServingObjectives();
