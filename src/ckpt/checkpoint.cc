@@ -306,9 +306,8 @@ Status CheckpointManager::Save(const TrainingState& state) {
   ++next_seq_;
   KGAG_COUNTER_ADD("ckpt.saves", 1);
   KGAG_COUNTER_ADD("ckpt.bytes_written", encoded.size());
-  KGAG_OBS_ONLY(KGAG_HISTOGRAM_OBSERVE("ckpt.save_latency_us",
-                                       watch.ElapsedMicros(),
-                                       obs::LatencyBoundsUs());)
+  KGAG_OBS_ONLY(
+      KGAG_HDR_OBSERVE("ckpt.save_latency_us", watch.ElapsedMicros());)
   Prune(ListSnapshots());
   return Status::OK();
 }
@@ -335,9 +334,8 @@ Result<TrainingState> CheckpointManager::LoadLatest() {
       const Status decoded = DecodeTrainingState(bytes, &state);
       if (decoded.ok()) {
         KGAG_COUNTER_ADD("ckpt.loads", 1);
-        KGAG_OBS_ONLY(KGAG_HISTOGRAM_OBSERVE("ckpt.load_latency_us",
-                                             watch.ElapsedMicros(),
-                                             obs::LatencyBoundsUs());)
+        KGAG_OBS_ONLY(
+            KGAG_HDR_OBSERVE("ckpt.load_latency_us", watch.ElapsedMicros());)
         return state;
       }
       read = decoded;

@@ -20,8 +20,8 @@
 // CheckpointManager handles the directory: atomic writes (temp + fsync +
 // rename with bounded retry), keep-last-N retention, and load-time
 // fallback to the newest *intact* snapshot when the newest file is
-// corrupt. Saves and loads publish ckpt.* counters and latency histograms
-// through src/obs/.
+// corrupt. Saves and loads publish ckpt.* counters and the HDR latency
+// histograms ckpt.save_latency_us / ckpt.load_latency_us through src/obs/.
 #ifndef KGAG_CKPT_CHECKPOINT_H_
 #define KGAG_CKPT_CHECKPOINT_H_
 

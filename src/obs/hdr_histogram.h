@@ -1,18 +1,17 @@
-// HDR-style log-bucketed histogram for latency series (DESIGN.md §12).
+// HDR-style log-bucketed histogram (DESIGN.md §12): the one distribution
+// type in the metrics registry, for latencies and small counts alike.
 //
-// The fixed-bucket Histogram in metrics.h needs its bounds chosen per
-// series and quantizes quantiles to whatever grid the author picked; at
-// serving scale that is too coarse for p99/p999 regression gates. This
-// histogram needs no configuration: values are bucketed on a base-2
-// logarithmic grid with 32 sub-buckets per octave, so every bucket is at
-// most ~3.1% wide relative to its value, across the whole range
-// [0, 2^42) (in microseconds: sub-nanosecond granularity near zero up to
-// ~52 days). Quantile extraction is exact counting — the returned value
-// is the upper edge of the bucket holding the nearest-rank observation,
-// guaranteed within one bucket width of the true sample quantile.
+// It needs no configuration: values are bucketed on a base-2 logarithmic
+// grid with 32 sub-buckets per octave, so every bucket is at most ~3.1%
+// wide relative to its value, across the whole range [0, 2^42) (in
+// microseconds: sub-nanosecond granularity near zero up to ~52 days);
+// integers below 32 get exact unit buckets. Quantile extraction is exact
+// counting — the returned value is the upper edge of the bucket holding
+// the nearest-rank observation, guaranteed within one bucket width of the
+// true sample quantile.
 //
 // Writes are lock-free: each thread owns a stripe of relaxed atomics
-// (same discipline as Counter/Histogram); readers merge stripes into an
+// (same discipline as Counter); readers merge stripes into an
 // HdrSnapshot, and snapshots merge/subtract bucket-wise, so deltas over
 // a window and shard aggregation across processes are plain vector sums.
 #ifndef KGAG_OBS_HDR_HISTOGRAM_H_

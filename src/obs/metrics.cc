@@ -1,12 +1,9 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
 #include <utility>
-
-#include "common/check.h"
 
 namespace kgag {
 namespace obs {
@@ -72,89 +69,6 @@ double Gauge::Value() const {
   return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
 }
 
-Histogram::Histogram(std::string name, std::vector<double> bounds)
-    : name_(std::move(name)), bounds_(std::move(bounds)) {
-  KGAG_CHECK(!bounds_.empty()) << "histogram needs at least one bound";
-  KGAG_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
-      << "histogram bounds must be ascending";
-  // buckets + overflow + sum cell, rounded up to a cache line of cells so
-  // stripe rows never share a line (each row has a single writer).
-  const size_t cells = bounds_.size() + 2;
-  stride_ = (cells + 7) / 8 * 8;
-  cells_.reset(new std::atomic<uint64_t>[kMetricStripes * stride_]);
-  for (size_t i = 0; i < kMetricStripes * stride_; ++i) {
-    cells_[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-size_t Histogram::BucketIndex(double v) const {
-  // First bound >= v, i.e. bucket i holds v <= bounds[i] (Prometheus `le`
-  // semantics); everything above the last bound lands in the overflow.
-  return static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-}
-
-void Histogram::Observe(double v) {
-  std::atomic<uint64_t>* row = cells_.get() + ThreadStripe() * stride_;
-  row[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  // Sum-of-values: CAS on the double bits. Stripes are effectively
-  // single-writer, so the loop almost never retries.
-  std::atomic<uint64_t>& sum = row[bounds_.size() + 1];
-  uint64_t old = sum.load(std::memory_order_relaxed);
-  while (!sum.compare_exchange_weak(
-      old, std::bit_cast<uint64_t>(std::bit_cast<double>(old) + v),
-      std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<uint64_t> Histogram::BucketCounts() const {
-  std::vector<uint64_t> out(bounds_.size() + 1, 0);
-  for (size_t s = 0; s < kMetricStripes; ++s) {
-    const std::atomic<uint64_t>* row = cells_.get() + s * stride_;
-    for (size_t b = 0; b < out.size(); ++b) {
-      out[b] += row[b].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-uint64_t Histogram::TotalCount() const {
-  uint64_t total = 0;
-  for (uint64_t c : BucketCounts()) total += c;
-  return total;
-}
-
-double Histogram::Sum() const {
-  double total = 0.0;
-  for (size_t s = 0; s < kMetricStripes; ++s) {
-    total += std::bit_cast<double>(
-        cells_[s * stride_ + bounds_.size() + 1].load(
-            std::memory_order_relaxed));
-  }
-  return total;
-}
-
-double Histogram::Mean() const {
-  const uint64_t n = TotalCount();
-  return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
-}
-
-double Histogram::ApproxQuantile(double p) const {
-  const std::vector<uint64_t> counts = BucketCounts();
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  if (total == 0) return 0.0;
-  const double target = p * static_cast<double>(total);
-  uint64_t seen = 0;
-  for (size_t b = 0; b < counts.size(); ++b) {
-    seen += counts[b];
-    if (static_cast<double>(seen) >= target) {
-      return b < bounds_.size() ? bounds_[b] : bounds_.back();
-    }
-  }
-  return bounds_.back();
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry;  // leaked on exit
   return *registry;
@@ -184,23 +98,6 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name) {
   return it->second.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(
-                          new Histogram(std::string(name), std::move(bounds))))
-             .first;
-  } else {
-    KGAG_CHECK(it->second->bounds() == bounds)
-        << "histogram re-registered with different bounds: " << name;
-  }
-  return it->second.get();
-}
-
 HdrHistogram* MetricsRegistry::GetHdrHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = hdr_histograms_.find(name);
@@ -225,12 +122,6 @@ const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
   return it == gauges_.end() ? nullptr : it->second.get();
 }
 
-const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 const HdrHistogram* MetricsRegistry::FindHdrHistogram(
     std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -240,8 +131,7 @@ const HdrHistogram* MetricsRegistry::FindHdrHistogram(
 
 size_t MetricsRegistry::NumMetrics() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         hdr_histograms_.size();
+  return counters_.size() + gauges_.size() + hdr_histograms_.size();
 }
 
 std::string MetricsRegistry::JsonSnapshot(std::string_view label) const {
@@ -261,27 +151,6 @@ std::string MetricsRegistry::JsonSnapshot(std::string_view label) const {
   for (const auto& [name, g] : gauges_) {
     os << (first ? "" : ",") << "\"" << name << "\":";
     AppendDouble(&os, g->Value());
-    first = false;
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ",") << "\"" << name << "\":{\"count\":"
-       << h->TotalCount() << ",\"sum\":";
-    AppendDouble(&os, h->Sum());
-    os << ",\"bounds\":[";
-    const std::vector<double>& bounds = h->bounds();
-    for (size_t i = 0; i < bounds.size(); ++i) {
-      if (i > 0) os << ",";
-      AppendDouble(&os, bounds[i]);
-    }
-    os << "],\"buckets\":[";
-    const std::vector<uint64_t> counts = h->BucketCounts();
-    for (size_t i = 0; i < counts.size(); ++i) {
-      if (i > 0) os << ",";
-      os << counts[i];
-    }
-    os << "]}";
     first = false;
   }
   // HDR series: quantiles, not raw buckets — ~1.2K cells per series would
@@ -320,22 +189,6 @@ std::string MetricsRegistry::PrometheusText() const {
     const std::string pn = PrometheusName(name);
     os << "# TYPE " << pn << " gauge\n" << pn << " " << g->Value() << "\n";
   }
-  for (const auto& [name, h] : histograms_) {
-    const std::string pn = PrometheusName(name);
-    os << "# TYPE " << pn << " histogram\n";
-    const std::vector<double>& bounds = h->bounds();
-    const std::vector<uint64_t> counts = h->BucketCounts();
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < bounds.size(); ++b) {
-      cumulative += counts[b];
-      os << pn << "_bucket{le=\"" << bounds[b] << "\"} " << cumulative
-         << "\n";
-    }
-    cumulative += counts.back();
-    os << pn << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-    os << pn << "_sum " << h->Sum() << "\n";
-    os << pn << "_count " << cumulative << "\n";
-  }
   // HDR histograms export as summaries: precomputed quantile samples are
   // what dashboards want, and the dense log grid would be an unreadable
   // wall of _bucket lines.
@@ -355,20 +208,6 @@ std::string MetricsRegistry::PrometheusText() const {
     os << pn << "_count " << snap.total << "\n";
   }
   return os.str();
-}
-
-const std::vector<double>& LatencyBoundsUs() {
-  static const std::vector<double>* bounds = new std::vector<double>{
-      1,     2,     5,     10,    20,    50,    100,   200,   500,
-      1e3,   2e3,   5e3,   1e4,   2e4,   5e4,   1e5,   2e5,   5e5,
-      1e6,   2e6,   5e6,   1e7};
-  return *bounds;
-}
-
-const std::vector<double>& CountBounds() {
-  static const std::vector<double>* bounds = new std::vector<double>{
-      1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
-  return *bounds;
 }
 
 }  // namespace obs

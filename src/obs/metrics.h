@@ -1,12 +1,13 @@
-// Process-wide metrics: lock-free counters, gauges and fixed-bucket
-// histograms. Hot-path writes go to per-thread shards (each thread owns a
-// stripe of relaxed atomics, so increments never contend in the common
-// case); readers merge all stripes on demand. Snapshots are exported as
-// JSONL (one JSON object per line, one line per epoch/eval) and as a
-// Prometheus-style text dump.
+// Process-wide metrics: lock-free counters, gauges and HDR log-bucketed
+// histograms (obs/hdr_histogram.h, the one distribution type). Hot-path
+// writes go to per-thread shards (each thread owns a stripe of relaxed
+// atomics, so increments never contend in the common case); readers
+// merge all stripes on demand. Snapshots are exported as JSONL (one JSON
+// object per line, one line per epoch/eval) and as a Prometheus-style
+// text dump.
 //
 // Call sites normally go through the KGAG_COUNTER_ADD / KGAG_GAUGE_SET /
-// KGAG_HISTOGRAM_OBSERVE macros in obs/obs.h, which cache the metric
+// KGAG_HDR_OBSERVE macros in obs/obs.h, which cache the metric
 // pointer in a function-local static and compile to nothing when
 // KGAG_OBS_ENABLED is off. The classes here are always available, so
 // drivers and tests can use the registry directly in either build mode.
@@ -20,7 +21,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/hdr_histogram.h"
 
@@ -82,42 +82,6 @@ class Gauge {
   std::atomic<uint64_t> bits_{0};
 };
 
-/// \brief Fixed-bucket histogram, sharded per thread like Counter.
-///
-/// Bucket i counts observations v <= bounds[i] (first matching bound); one
-/// extra overflow bucket catches v > bounds.back(). Bounds are fixed at
-/// registration, so merging shards is a plain per-bucket sum.
-class Histogram {
- public:
-  void Observe(double v);
-
-  /// Merged per-bucket counts; size() == bounds().size() + 1 (overflow
-  /// bucket last).
-  std::vector<uint64_t> BucketCounts() const;
-  uint64_t TotalCount() const;
-  double Sum() const;
-  double Mean() const;
-  /// Upper bound of the bucket holding the p-quantile (p in [0, 1]);
-  /// returns 0 when empty. A coarse estimate, good enough for latency
-  /// regression checks.
-  double ApproxQuantile(double p) const;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::vector<double> bounds);
-
-  size_t BucketIndex(double v) const;
-
-  std::string name_;
-  std::vector<double> bounds_;  // ascending upper bounds
-  size_t stride_;               // cells per stripe row, 64-byte aligned
-  // Row layout per stripe: [bucket 0 .. bucket B] [sum-of-values bits].
-  std::unique_ptr<std::atomic<uint64_t>[]> cells_;
-};
-
 /// \brief Owns all metrics; creation is mutex-guarded, updates are
 /// lock-free through the returned handles (stable addresses for the
 /// registry's lifetime).
@@ -135,9 +99,6 @@ class MetricsRegistry {
   /// stable; hot paths should cache it (the obs.h macros do).
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  /// `bounds` must be ascending; they are consumed on first registration
-  /// and must match on later calls (checked).
-  Histogram* GetHistogram(std::string_view name, std::vector<double> bounds);
   /// Log-bucketed histogram with exact-count quantiles (hdr_histogram.h);
   /// needs no bounds — every series shares the same ~3% grid.
   HdrHistogram* GetHdrHistogram(std::string_view name);
@@ -145,38 +106,27 @@ class MetricsRegistry {
   /// nullptr when the metric was never registered.
   const Counter* FindCounter(std::string_view name) const;
   const Gauge* FindGauge(std::string_view name) const;
-  const Histogram* FindHistogram(std::string_view name) const;
   const HdrHistogram* FindHdrHistogram(std::string_view name) const;
 
   size_t NumMetrics() const;
 
   /// One JSON object (single line, no trailing newline) with every metric
   /// merged: {"label":..,"seq":..,"counters":{..},"gauges":{..},
-  /// "histograms":{..}}. `seq` increments per call.
+  /// "hdr_histograms":{..}}. `seq` increments per call.
   std::string JsonSnapshot(std::string_view label) const;
 
   /// Prometheus text exposition of every metric (kgag_ prefix, dots
-  /// mapped to underscores, histogram with cumulative le buckets).
+  /// mapped to underscores, HDR histograms as quantile summaries).
   std::string PrometheusText() const;
 
  private:
   mutable std::mutex mutex_;  // guards the maps, never the shard writes
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<HdrHistogram>, std::less<>>
       hdr_histograms_;
   mutable std::atomic<uint64_t> snapshot_seq_{0};
 };
-
-/// Shared latency bucket bounds in microseconds: 1-2-5 decades from 1us to
-/// 10s. Used by the evaluator and thread-pool instrumentation so their
-/// histograms are directly comparable.
-const std::vector<double>& LatencyBoundsUs();
-
-/// Small-count bucket bounds (1, 2, 4, ... 1024): batch sizes, group
-/// sizes — anything whose interesting range is a few powers of two.
-const std::vector<double>& CountBounds();
 
 }  // namespace obs
 }  // namespace kgag

@@ -21,10 +21,10 @@ std::ofstream* g_jsonl = nullptr;  // guarded by g_jsonl_mutex
 class PoolMetricsObserver : public ThreadPoolObserver {
  public:
   PoolMetricsObserver()
-      : wait_(MetricsRegistry::Global().GetHistogram(
-            "threadpool.task_wait_us", LatencyBoundsUs())),
-        run_(MetricsRegistry::Global().GetHistogram("threadpool.task_run_us",
-                                                    LatencyBoundsUs())),
+      : wait_(MetricsRegistry::Global().GetHdrHistogram(
+            "threadpool.task_wait_us")),
+        run_(MetricsRegistry::Global().GetHdrHistogram(
+            "threadpool.task_run_us")),
         depth_(MetricsRegistry::Global().GetGauge("threadpool.queue_depth")),
         parallel_fors_(MetricsRegistry::Global().GetCounter(
             "threadpool.parallel_for.calls")),
@@ -47,8 +47,8 @@ class PoolMetricsObserver : public ThreadPoolObserver {
   }
 
  private:
-  Histogram* wait_;
-  Histogram* run_;
+  HdrHistogram* wait_;
+  HdrHistogram* run_;
   Gauge* depth_;
   Counter* parallel_fors_;
   Counter* parallel_items_;

@@ -16,8 +16,9 @@
 //  * metric names are dotted lowercase ("gemm.flops", "train.loss");
 //  * KGAG_TRACE_SPAN takes a string literal and traces the enclosing
 //    scope; spans nest by scope, which Perfetto renders as a flame graph;
-//  * histograms observing latencies use obs::LatencyBoundsUs() so plots
-//    are comparable across subsystems;
+//  * distributions (latencies, batch sizes) go through KGAG_HDR_OBSERVE:
+//    every series shares one ~3%-wide log grid, so they need no bounds and
+//    stay comparable across subsystems;
 //  * wrap obs-only setup statements (extra stopwatches etc.) in
 //    KGAG_OBS_ONLY(...) so the disabled build drops them too.
 #ifndef KGAG_OBS_OBS_H_
@@ -51,8 +52,8 @@ bool MetricsJsonlOpen();
 /// KGAG_OBS_SNAPSHOT) unconditionally.
 void SnapshotMetrics(std::string_view label);
 
-/// Installs the ThreadPoolObserver that publishes task wait/run latency
-/// histograms and the queue-depth gauge, and the log sink wrapper that
+/// Installs the ThreadPoolObserver that publishes the task wait/run latency
+/// HDR histograms and the queue-depth gauge, and the log sink wrapper that
 /// counts KGAG_LOG lines per level (forwarding them to the previous
 /// sink). Idempotent; called automatically by instrumented entry points
 /// when the obs build is active.
@@ -97,19 +98,9 @@ void InstallDefaultInstrumentation();
     kgag_obs_gauge->Set(static_cast<double>(v));                      \
   } while (0)
 
-/// Observes `v` into the named fixed-bucket histogram; `bounds` is an
-/// expression yielding std::vector<double>, evaluated once per call site.
-#define KGAG_HISTOGRAM_OBSERVE(name, v, bounds)                       \
-  do {                                                                \
-    static ::kgag::obs::Histogram* kgag_obs_hist =                    \
-        ::kgag::obs::MetricsRegistry::Global().GetHistogram(name,     \
-                                                            bounds);  \
-    kgag_obs_hist->Observe(static_cast<double>(v));                   \
-  } while (0)
-
 /// Observes `v` into the named HDR log-bucketed histogram (no bounds:
-/// the ~3%-wide base-2 grid covers the full range). Latency series that
-/// feed quantile gates use this, not KGAG_HISTOGRAM_OBSERVE.
+/// the ~3%-wide base-2 grid covers the full range; integers below 32 land
+/// in exact unit buckets).
 #define KGAG_HDR_OBSERVE(name, v)                                     \
   do {                                                                \
     static ::kgag::obs::HdrHistogram* kgag_obs_hdr =                  \
@@ -136,9 +127,6 @@ void InstallDefaultInstrumentation();
   } while (0)
 #define KGAG_GAUGE_SET(name, v) \
   do {                          \
-  } while (0)
-#define KGAG_HISTOGRAM_OBSERVE(name, v, bounds) \
-  do {                                          \
   } while (0)
 #define KGAG_HDR_OBSERVE(name, v) \
   do {                            \

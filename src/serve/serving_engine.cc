@@ -230,8 +230,7 @@ Result<TopKResult> ServingEngine::TopK(std::span<const UserId> members,
   result.cache_hit = cache_hit;
   batches_.fetch_add(1, std::memory_order_relaxed);
   KGAG_COUNTER_ADD("serve.batches", 1);
-  KGAG_HISTOGRAM_OBSERVE("serve.batch_size", 1.0,
-                         ::kgag::obs::CountBounds());
+  KGAG_HDR_OBSERVE("serve.batch_size", 1);
   result.sequence = FinishRequest(start);
   return result;
 }
@@ -520,8 +519,7 @@ void ServingEngine::ExecuteBatch(std::vector<Pending> batch) {
   // collected every future must never read a stale batches_run().
   batches_.fetch_add(1, std::memory_order_relaxed);
   KGAG_COUNTER_ADD("serve.batches", 1);
-  KGAG_HISTOGRAM_OBSERVE("serve.batch_size", static_cast<double>(live.size()),
-                         ::kgag::obs::CountBounds());
+  KGAG_HDR_OBSERVE("serve.batch_size", live.size());
 
   for (size_t i = 0; i < live.size(); ++i) {
     const Live& l = live[i];

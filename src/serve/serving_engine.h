@@ -42,8 +42,8 @@
 //
 // serve.* metrics: requests (plus .failed / .rejected and the shed
 // split serve.requests.shed.{deadline,queue_full}), batches,
-// batch_size histogram, serve.batch.late_admitted, HDR request-latency
-// and queue-wait histograms (submit -> completion, exact-count
+// serve.batch.late_admitted, HDR histograms of batch size, request
+// latency and queue wait (submit -> completion, exact-count
 // quantiles), qps gauge, cache hit/miss counters and hit-rate/size
 // gauges (from GroupRepCache).
 //

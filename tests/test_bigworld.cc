@@ -109,7 +109,9 @@ TEST(BigWorldGen, GroupMembersAreCanonical) {
       EXPECT_GE(members[i], 0);
       EXPECT_LT(static_cast<uint64_t>(members[i]), gen.spec().num_users);
       // Sorted strictly ascending = sorted + distinct.
-      if (i > 0) EXPECT_LT(members[i - 1], members[i]);
+      if (i > 0) {
+        EXPECT_LT(members[i - 1], members[i]);
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
 // Checkpoint container + manager tests: format round-trips, rejection of
 // every corruption class (bad magic, version, header CRC, truncated
 // chunks, bit flips in each chunk type, trailing garbage), atomic write
-// behavior, retention, and newest-intact-first load fallback.
+// behavior, retention, newest-intact-first load fallback, and the save /
+// load latency series.
 #include "ckpt/checkpoint.h"
 
 #include <cstdlib>
@@ -12,6 +13,7 @@
 
 #include "common/file_io.h"
 #include "gtest/gtest.h"
+#include "obs/obs.h"
 
 namespace kgag {
 namespace ckpt {
@@ -220,6 +222,35 @@ TEST(Manager, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectStatesEqual(state, *loaded);
 }
+
+#if KGAG_OBS_ACTIVE
+
+TEST(Manager, SaveAndLoadEachObserveOneLatency) {
+  CheckpointManager::Options opts;
+  opts.dir = TestTmpDir("kgag_mgr_latency");
+  opts.fsync = false;
+  CheckpointManager mgr(opts);
+  // Registering the series here lets the "before" reads work in any test
+  // order.
+  obs::HdrHistogram* saves =
+      obs::MetricsRegistry::Global().GetHdrHistogram("ckpt.save_latency_us");
+  obs::HdrHistogram* loads =
+      obs::MetricsRegistry::Global().GetHdrHistogram("ckpt.load_latency_us");
+
+  const obs::HdrSnapshot saves_before = saves->Snapshot();
+  ASSERT_TRUE(mgr.Save(SampleState()).ok());
+  obs::HdrSnapshot window = saves->Snapshot();
+  window.Subtract(saves_before);
+  EXPECT_EQ(window.total, 1u);
+
+  const obs::HdrSnapshot loads_before = loads->Snapshot();
+  ASSERT_TRUE(mgr.LoadLatest().ok());
+  window = loads->Snapshot();
+  window.Subtract(loads_before);
+  EXPECT_EQ(window.total, 1u);
+}
+
+#endif  // KGAG_OBS_ACTIVE
 
 TEST(Manager, EmptyDirIsNotFound) {
   CheckpointManager::Options opts;

@@ -18,8 +18,7 @@ TEST(ObsNoopTest, MacroArgumentsAreNotEvaluated) {
   KGAG_TRACE_SPAN("noop.span");
   KGAG_COUNTER_ADD("noop.counter", ++evaluations);
   KGAG_GAUGE_SET("noop.gauge", ++evaluations);
-  KGAG_HISTOGRAM_OBSERVE("noop.hist", ++evaluations,
-                         std::vector<double>({1.0}));
+  KGAG_HDR_OBSERVE("noop.hdr", ++evaluations);
   KGAG_OBS_SNAPSHOT("noop.snapshot");
   KGAG_OBS_ONLY(++evaluations;)
   EXPECT_EQ(evaluations, 0) << "no-op macros must not evaluate arguments";
@@ -28,9 +27,11 @@ TEST(ObsNoopTest, MacroArgumentsAreNotEvaluated) {
 TEST(ObsNoopTest, NothingReachesTheRegistry) {
   KGAG_COUNTER_ADD("noop.registry_probe", 1);
   KGAG_GAUGE_SET("noop.registry_probe_g", 1.0);
+  KGAG_HDR_OBSERVE("noop.registry_probe_h", 1.0);
   auto& reg = obs::MetricsRegistry::Global();
   EXPECT_EQ(reg.FindCounter("noop.registry_probe"), nullptr);
   EXPECT_EQ(reg.FindGauge("noop.registry_probe_g"), nullptr);
+  EXPECT_EQ(reg.FindHdrHistogram("noop.registry_probe_h"), nullptr);
 }
 
 TEST(ObsNoopTest, DirectApiStaysAvailable) {

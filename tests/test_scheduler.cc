@@ -175,6 +175,9 @@ TEST_F(SchedulerTest, LateArrivalJoinsInFlightBatchBitIdentically) {
                                  .cache_capacity = 0});
   FirstBatchGate gate;
   engine.SetBatchHookForTest(gate.Hook());
+  obs::HdrHistogram* sizes =
+      obs::MetricsRegistry::Global().GetHdrHistogram("serve.batch_size");
+  const obs::HdrSnapshot sizes_before = sizes->Snapshot();
 
   // A forms a batch alone (deadline 0 = no hold); the hook pauses that
   // batch after it left the queue. B arrives strictly AFTER formation.
@@ -194,6 +197,14 @@ TEST_F(SchedulerTest, LateArrivalJoinsInFlightBatchBitIdentically) {
   // for a second dispatch.
   EXPECT_EQ(engine.batches_run(), 1u);
   EXPECT_EQ(engine.late_admitted(), 1u);
+#if KGAG_OBS_ACTIVE
+  // ...and it published one batch-size observation, of two requests.
+  obs::HdrSnapshot window = sizes->Snapshot();
+  window.Subtract(sizes_before);
+  EXPECT_EQ(window.total, 1u);
+  EXPECT_EQ(window.sum, 2.0);
+  EXPECT_EQ(window.counts[obs::HdrHistogram::BucketFor(2.0)], 1u);
+#endif
 
   EXPECT_EQ(got_a->items, want_a->items);
   EXPECT_EQ(got_a->scores, want_a->scores);  // bitwise, no tolerance

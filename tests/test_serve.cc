@@ -808,6 +808,19 @@ TEST_F(ServeTest, ShutdownRejectsNewSubmissions) {
 
 #if KGAG_OBS_ACTIVE
 
+TEST_F(ServeTest, SynchronousTopKObservesOneBatchOfOne) {
+  ServingEngine engine(frozen_, {.max_batch = 4, .cache_capacity = 0});
+  obs::HdrHistogram* sizes =
+      obs::MetricsRegistry::Global().GetHdrHistogram("serve.batch_size");
+  const obs::HdrSnapshot before = sizes->Snapshot();
+  ASSERT_TRUE(engine.TopK(Members(0), 5).ok());
+  obs::HdrSnapshot window = sizes->Snapshot();
+  window.Subtract(before);
+  EXPECT_EQ(window.total, 1u);
+  EXPECT_EQ(window.sum, 1.0);
+  EXPECT_EQ(window.counts[obs::HdrHistogram::BucketFor(1.0)], 1u);
+}
+
 TEST_F(ServeTest, CacheSizeGaugeTracksOccupancy) {
   ServingEngine engine(frozen_, {.max_batch = 1, .cache_capacity = 4});
   // Three distinct single-member groups: three cache entries.

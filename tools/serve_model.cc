@@ -256,6 +256,9 @@ int main(int argc, char** argv) {
                  "[--watch_interval_ms=MS]\n");
     return 2;
   }
+  // Pool task wait/run series, the queue-depth gauge and log-line
+  // counters on /metrics.
+  KGAG_OBS_ONLY(obs::InstallDefaultInstrumentation();)
 
   Stopwatch load_watch;
   Result<serve::FrozenModel> loaded =
