@@ -54,7 +54,9 @@ void Run() {
   TablePrinter table({"Member", "SP (self persistence)",
                       "PI (peer influence)", "influence (softmax)"});
   for (size_t i = 0; i < ex.members.size(); ++i) {
-    table.AddRow({"u" + std::to_string(ex.members[i]),
+    std::string member(1, 'u');
+    member += std::to_string(ex.members[i]);
+    table.AddRow({member,
                   TablePrinter::Num(ex.attention.sp[i]),
                   TablePrinter::Num(ex.attention.pi[i]),
                   TablePrinter::Num(ex.attention.alpha[i])});

@@ -1,12 +1,13 @@
-// Live introspection endpoint (DESIGN.md §12): a dependency-free
-// HTTP/1.0 server exposing the observability state of a running process.
+// Live introspection endpoint (DESIGN.md §12): a dependency-free HTTP
+// server exposing the observability state of a running process.
 //
-// Deliberately minimal — one blocking accept loop on its own thread, one
-// request per connection, GET/HEAD only, Connection: close — because its
-// job is `curl` and a Prometheus scraper, not traffic. Handlers run on
-// the server thread; they only read lock-free metric state, so a slow
-// scrape never blocks the serving path. accept(2) errors follow
-// common/accept_backoff.h (counted in obs.introspect.accept_errors).
+// Deliberately minimal — GET/HEAD only, one request per connection,
+// Connection: close — because its job is `curl` and a Prometheus scraper,
+// not traffic. Sockets and HTTP come from obs/socket_server.h. Each
+// connection has its own thread and 2 s send/receive timeouts, so a
+// silent client delays neither other scrapes nor Stop(); handlers and the
+// refresh hook may run concurrently and take their own locks. accept(2)
+// errors count in obs.introspect.accept_errors.
 //
 // Endpoints installed by RegisterDefaultIntrospection:
 //   /metrics  Prometheus text exposition of MetricsRegistry::Global()
@@ -18,27 +19,19 @@
 #ifndef KGAG_OBS_INTROSPECT_H_
 #define KGAG_OBS_INTROSPECT_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "obs/socket_server.h"
 
 namespace kgag {
 namespace obs {
 
-/// \brief One handler's reply.
-struct HttpResponse {
-  int status = 200;
-  std::string content_type = "text/plain; charset=utf-8";
-  std::string body;
-};
-
-/// \brief Blocking-accept HTTP/1.0 server for pull-based introspection.
+/// \brief HTTP server for pull-based introspection.
 class IntrospectionServer {
  public:
   struct Options {
@@ -74,14 +67,15 @@ class IntrospectionServer {
   /// (port taken, bad address).
   Status Start();
 
-  /// Stops accepting, joins the thread, closes the socket. Idempotent.
+  /// Stops accepting, shuts down open connections and waits for them.
+  /// Idempotent.
   void Stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return tcp_.running(); }
 
   /// Bound port (the ephemeral one when Options::port was 0); -1 before
   /// Start().
-  int port() const { return port_; }
+  int port() const { return tcp_.port(); }
 
   /// Registered /statusz fragments, in registration order (read by the
   /// default /statusz handler at request time, so sources added after
@@ -92,19 +86,14 @@ class IntrospectionServer {
   }
 
  private:
-  void AcceptLoop();
   void ServeConnection(int fd);
+  HttpResponse Respond(const HttpRequest& request) const;
 
-  Options options_;
   std::map<std::string, Handler> handlers_;
   std::vector<std::pair<std::string, std::function<std::string()>>>
       status_sources_;
   std::function<void()> refresh_;
-  int listen_fd_ = -1;
-  int port_ = -1;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
+  TcpServer tcp_;
 };
 
 /// Installs /metrics, /healthz, /tracez and /statusz on `server` (call

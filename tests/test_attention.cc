@@ -147,8 +147,8 @@ INSTANTIATE_TEST_SUITE_P(
                       AttnCase{"sp_only", true, false},
                       AttnCase{"pi_only", false, true},
                       AttnCase{"none", false, false}),
-    [](const ::testing::TestParamInfo<AttnCase>& info) {
-      return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<AttnCase>& param_info) {
+      return std::string(param_info.param.name);
     });
 
 TEST(AttentionSpTest, SpPrefersAlignedMember) {

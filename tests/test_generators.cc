@@ -223,8 +223,9 @@ TEST_P(StandardDatasetTest, AllThreeDatasetsValidate) {
 
 INSTANTIATE_TEST_SUITE_P(Scales, StandardDatasetTest,
                          ::testing::Values(0.1, 0.2),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           return info.param == 0.1 ? "tenth" : "fifth";
+                         [](const ::testing::TestParamInfo<double>&
+                                param_info) {
+                           return param_info.param == 0.1 ? "tenth" : "fifth";
                          });
 
 TEST(StandardDatasetTest, GroupSizesMatchPaper) {

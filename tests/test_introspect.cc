@@ -1,7 +1,8 @@
 // IntrospectionServer tests: real loopback HTTP against an ephemeral
 // port — endpoint contracts (/metrics, /healthz, /tracez, /statusz),
 // custom handlers and status sources, the per-request refresh hook,
-// 404/405/HEAD semantics, and start/stop lifecycle.
+// 404/405/HEAD semantics, the 16 KiB head limit, and start/stop
+// lifecycle, including with a connected client that sends nothing.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -27,19 +28,26 @@ using obs::HttpResponse;
 using obs::IntrospectionServer;
 using obs::MetricsRegistry;
 
-/// One-shot HTTP/1.0 request over loopback; returns the raw response
-/// (status line + headers + body) or "" on connect/write failure.
-std::string HttpRequest(int port, const std::string& request) {
+/// Loopback connection to `port`; -1 on failure.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// One-shot HTTP request over loopback; returns the raw response
+/// (status line + headers + body) or "" on connect/write failure.
+std::string HttpRequest(int port, const std::string& request) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
   size_t off = 0;
   while (off < request.size()) {
     const ssize_t n =
@@ -79,7 +87,7 @@ TEST(IntrospectTest, ServesCustomHandlerOnEphemeralPort) {
   EXPECT_TRUE(server.running());
 
   const std::string response = Get(server.port(), "/custom");
-  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
   EXPECT_NE(response.find("Content-Length: 6"), std::string::npos);
   EXPECT_EQ(BodyOf(response), "hello\n");
@@ -102,7 +110,7 @@ TEST(IntrospectTest, DefaultEndpointsServeTheirContracts) {
   const int port = server.port();
 
   const std::string health = Get(port, "/healthz");
-  EXPECT_NE(health.find("HTTP/1.0 200"), std::string::npos);
+  EXPECT_NE(health.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_EQ(BodyOf(health), "ok\n");
 
   const std::string metrics = Get(port, "/metrics");
@@ -135,14 +143,8 @@ TEST(IntrospectTest, FragmentedRequestLineStillParses) {
   obs::RegisterDefaultIntrospection(&server);
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = Connect(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
@@ -157,7 +159,7 @@ TEST(IntrospectTest, FragmentedRequestLineStillParses) {
     response.append(buf, static_cast<size_t>(n));
   }
   ::close(fd);
-  EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos) << response;
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
   EXPECT_EQ(BodyOf(response), "ok\n");
   server.Stop();
 }
@@ -181,7 +183,7 @@ TEST(IntrospectTest, UnknownPathListsEndpointsAnd404s) {
   obs::RegisterDefaultIntrospection(&server);
   ASSERT_TRUE(server.Start().ok());
   const std::string response = Get(server.port(), "/nope");
-  EXPECT_NE(response.find("HTTP/1.0 404"), std::string::npos) << response;
+  EXPECT_NE(response.find("HTTP/1.1 404"), std::string::npos) << response;
   // The 404 body is a directory of what IS served.
   for (const char* path : {"/metrics", "/healthz", "/tracez", "/statusz"}) {
     EXPECT_NE(BodyOf(response).find(path), std::string::npos) << path;
@@ -195,7 +197,7 @@ TEST(IntrospectTest, NonGetMethodsAreRejected) {
   ASSERT_TRUE(server.Start().ok());
   const std::string response =
       HttpRequest(server.port(), "POST /metrics HTTP/1.0\r\n\r\n");
-  EXPECT_NE(response.find("HTTP/1.0 405"), std::string::npos) << response;
+  EXPECT_NE(response.find("HTTP/1.1 405"), std::string::npos) << response;
   server.Stop();
 }
 
@@ -205,7 +207,7 @@ TEST(IntrospectTest, HeadReturnsHeadersWithoutBody) {
   ASSERT_TRUE(server.Start().ok());
   const std::string response =
       HttpRequest(server.port(), "HEAD /healthz HTTP/1.0\r\n\r\n");
-  EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos) << response;
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
   // Content-Length describes the GET body, but none is sent.
   EXPECT_NE(response.find("Content-Length: 3"), std::string::npos);
   EXPECT_EQ(BodyOf(response), "");
@@ -217,7 +219,7 @@ TEST(IntrospectTest, QueryStringsAreIgnored) {
   obs::RegisterDefaultIntrospection(&server);
   ASSERT_TRUE(server.Start().ok());
   const std::string response = Get(server.port(), "/healthz?verbose=1");
-  EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos) << response;
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
   server.Stop();
 }
 
@@ -242,6 +244,59 @@ TEST(IntrospectTest, StopIsIdempotentAndPortIsReusable) {
   EXPECT_EQ(second.port(), port);
   EXPECT_EQ(BodyOf(Get(port, "/x")), "y");
   second.Stop();
+}
+
+TEST(IntrospectTest, HeadLimitIs16KiB) {
+  IntrospectionServer server({});
+  obs::RegisterDefaultIntrospection(&server);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string start = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+  // A 12 KiB head fits.
+  const std::string fits = start + std::string(12 * 1024, 'a') + "\r\n\r\n";
+  EXPECT_NE(HttpRequest(server.port(), fits).find("HTTP/1.1 200"),
+            std::string::npos);
+  // 16 KiB without the blank line: the head cannot end within the limit.
+  // Exactly 16 KiB is sent, so the server consumes all of it and closes
+  // cleanly after its reply.
+  const std::string unterminated =
+      start + std::string(16 * 1024 - start.size(), 'a');
+  EXPECT_NE(HttpRequest(server.port(), unterminated).find("HTTP/1.1 400"),
+            std::string::npos);
+  server.Stop();
+}
+
+TEST(IntrospectTest, SilentClientDoesNotDelayOtherScrapes) {
+  IntrospectionServer server({});
+  obs::RegisterDefaultIntrospection(&server);
+  ASSERT_TRUE(server.Start().ok());
+  // Connected first, so it is accepted before the scrape below.
+  const int silent = Connect(server.port());
+  ASSERT_GE(silent, 0);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = Get(server.port(), "/healthz");
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
+  EXPECT_LT(took.count(), 1.0) << "a silent client held up /healthz";
+  ::close(silent);
+  server.Stop();
+}
+
+TEST(IntrospectTest, StopDoesNotWaitForSilentClient) {
+  IntrospectionServer server({});
+  obs::RegisterDefaultIntrospection(&server);
+  ASSERT_TRUE(server.Start().ok());
+  const int silent = Connect(server.port());
+  ASSERT_GE(silent, 0);
+  // Let the server accept it and block reading its request head.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 1.0) << "Stop() waited out the receive timeout";
+  EXPECT_FALSE(server.running());
+  ::close(silent);
 }
 
 TEST(IntrospectTest, BadBindAddressFailsStart) {

@@ -128,7 +128,8 @@ TEST(AdamTest, StateRoundTripContinuesBitIdentically) {
     wa->grad = Tensor(4, 2, 0.25 * (s + 1));
     wa->dense_touched = true;
     ta->grad.at(s % 6, 0) = 1.0;
-    ta->touched_rows = {s % 6};  // rows at different lazy step counts
+    // Rows at different lazy step counts.
+    ta->touched_rows = {static_cast<size_t>(s % 6)};
     adam_a.Step(&store_a, 1e-4);
   }
 

@@ -1,8 +1,8 @@
 // Data-plane front-end tests (DESIGN.md §13): wire-format round trips,
 // binary request/response over real sockets with bit-identical scores,
 // pipelining, malformed/oversized frame rejection, byte-at-a-time
-// reassembly, the HTTP/1.1 POST fallback, Stop() semantics and the
-// accept loop's back-off on descriptor exhaustion.
+// reassembly, the HTTP/1.1 POST fallback and its head reader, Stop()
+// semantics and the accept loop's back-off on descriptor exhaustion.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -101,9 +101,13 @@ Result<WireResponse> Exchange(int fd, const TopKRequest& request) {
   return DecodeTopKResponse(payload.data(), payload.size());
 }
 
-/// Raw HTTP exchange: writes `request` verbatim, reads to EOF.
+/// Raw HTTP exchange: writes `request` verbatim, reads to EOF. The
+/// receive timeout turns a server that never answers into a failure
+/// instead of a hang.
 std::string HttpExchange(const Harness& h, const std::string& request) {
   const int fd = MustConnect(h);
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   EXPECT_TRUE(WriteAll(fd, request.data(), request.size()));
   std::string out;
   char buf[2048];
@@ -415,6 +419,41 @@ TEST_F(NetTest, HttpRejectsBadInput) {
             std::string::npos);
   // Engine-level errors map onto HTTP statuses.
   EXPECT_NE(HttpExchange(h, PostBody("members=-1")).find("HTTP/1.1 400"),
+            std::string::npos);
+  // Ids outside int32 must not wrap into valid ones (2^32 + 5 is not 5);
+  // k and deadline_us must be non-negative decimal numbers.
+  for (const char* body :
+       {"members=4294967301&k=3", "members=0,2147483648", "members=0&k=abc",
+        "members=0&k=-1", "members=0&k=", "members=0&deadline_us=-5",
+        "members=0&deadline_us=1x"}) {
+    EXPECT_NE(HttpExchange(h, PostBody(body)).find("HTTP/1.1 400"),
+              std::string::npos)
+        << body;
+  }
+}
+
+TEST_F(NetTest, HttpReaderAcceptsLfHeadsAndEnforcesLimits) {
+  Harness h;
+  // A head may end in a bare LFLF, and Content-Length is matched
+  // case-insensitively.
+  const std::string body = "members=0&k=2";
+  std::string reply = HttpExchange(
+      h, "POST /topk HTTP/1.1\ncontent-LENGTH: " +
+             std::to_string(body.size()) + "\n\n" + body);
+  EXPECT_NE(reply.find("HTTP/1.1 200"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"items\":["), std::string::npos) << reply;
+  // 16 KiB without the blank line: the head cannot end within the limit.
+  // Exactly 16 KiB is sent, so the server consumes all of it and closes
+  // cleanly after its reply.
+  const std::string start = "POST /topk HTTP/1.1\r\nX-Pad: ";
+  EXPECT_NE(HttpExchange(h, start + std::string(16 * 1024 - start.size(), 'a'))
+                .find("HTTP/1.1 400"),
+            std::string::npos);
+  // A body above the frame cap is refused before it is read.
+  EXPECT_NE(HttpExchange(h, "POST /topk HTTP/1.1\r\nContent-Length: " +
+                                std::to_string(kMaxFrameBytes + 1) +
+                                "\r\n\r\n")
+                .find("HTTP/1.1 400"),
             std::string::npos);
 }
 

@@ -305,8 +305,9 @@ const GradCase kGradCases[] = {
 
 INSTANTIATE_TEST_SUITE_P(AllOps, TapeGradTest,
                          ::testing::ValuesIn(kGradCases),
-                         [](const ::testing::TestParamInfo<GradCase>& info) {
-                           return std::string(info.param.name);
+                         [](const ::testing::TestParamInfo<GradCase>&
+                                param_info) {
+                           return std::string(param_info.param.name);
                          });
 
 TEST(TapeBackwardTest, GradAccumulatesOverMultiplePasses) {

@@ -24,7 +24,7 @@
 //                      interval (publishers rename atomically, so a
 //                      change is a whole new artifact, never a partial)
 //   SIGHUP             classic operator nudge: reload now
-//   POST/GET /reload   introspection-port endpoint; returns the swap
+//   GET /reload        introspection-port endpoint; returns the swap
 //                      outcome as JSON
 //
 //   ./build/tools/freeze_model --out model.srv
@@ -114,9 +114,11 @@ void HandleSignal(int) { g_stop = 1; }
 volatile std::sig_atomic_t g_reload = 0;
 void HandleReloadSignal(int) { g_reload = 1; }
 
-/// Exports the serve.artifact.* gauges for whichever model is live.
-void ExportArtifactGauges(const kgag::serve::FrozenModel& model,
-                          uint64_t load_micros) {
+/// Exports the serve.artifact.* gauges for whichever model is live. The
+/// parameters are read only inside the obs macros.
+void ExportArtifactGauges(
+    [[maybe_unused]] const kgag::serve::FrozenModel& model,
+    [[maybe_unused]] uint64_t load_micros) {
   KGAG_GAUGE_SET("serve.artifact.load_micros",
                  static_cast<double>(load_micros));
   KGAG_GAUGE_SET("serve.artifact.mapped_bytes",
