@@ -1,13 +1,16 @@
 // bench_kernels: compute-backend benchmark harness. Times (a) the blocked
 // GEMM against the preserved seed triple-loop kernel on the matmul shapes
-// the Eq. (1)–(8) propagation and attention paths actually issue, and (b)
+// the Eq. (1)–(8) propagation and attention paths actually issue, (b)
 // end-to-end ranking-evaluation throughput serial vs ThreadPool-parallel,
-// asserting the two produce bit-identical metrics. Emits machine-readable
-// JSON (BENCH_kernels.json when run from the repo root) so successive PRs
-// can be compared on the same perf trajectory.
+// asserting the two produce bit-identical metrics, and (c) the serving
+// sp-logit GEMM (QGemmInt8/Fp16/Fp32: member rows x item table) on the
+// dispatched ISA tier, checked bit for bit against its scalar reference.
+// Emits machine-readable JSON (BENCH_kernels.json when run from the repo
+// root) so successive PRs can be compared on the same perf trajectory.
 //
 // Usage: bench_kernels [--smoke] [--acceptance] [--out PATH] [--threads N]
-//   --smoke       one tiny iteration per case (CI wiring check, ~1s)
+//   --smoke       one tiny iteration per case, one tiny qgemm case (CI
+//                 wiring check, ~1s)
 //   --acceptance  time ONLY the PR-1 acceptance GEMM shape (512x64x64)
 //                 with long reps, and write a small JSON carrying
 //                 obs_enabled — run it once in an obs-ON build and once
@@ -37,6 +40,7 @@
 #include "eval/ranking_evaluator.h"
 #include "obs/obs.h"
 #include "tensor/kernels.h"
+#include "tensor/quant.h"
 #include "tensor/tensor.h"
 
 namespace kgag {
@@ -55,15 +59,16 @@ Tensor RandomTensor(size_t rows, size_t cols, Rng* rng) {
   return t;
 }
 
-/// Best-of-`reps` seconds-per-call, with the iteration count calibrated so
-/// one rep runs for at least `min_secs`.
+/// Seconds per call for each of `reps` reps, with the iteration count
+/// calibrated so one rep runs for at least `min_secs`. Smoke runs time a
+/// single call.
 template <typename Fn>
-double TimeBest(const Options& opt, Fn&& fn, double min_secs = 0.15,
-                int reps = 3) {
+std::vector<double> TimeReps(const Options& opt, Fn&& fn, double min_secs,
+                             int reps) {
   if (opt.smoke) {
     Stopwatch sw;
     fn();
-    return sw.ElapsedSeconds();
+    return {sw.ElapsedSeconds()};
   }
   size_t iters = 1;
   while (true) {
@@ -73,13 +78,29 @@ double TimeBest(const Options& opt, Fn&& fn, double min_secs = 0.15,
     if (secs >= min_secs) break;
     iters *= 2;
   }
-  double best = 1e100;
+  std::vector<double> per_call;
   for (int r = 0; r < reps; ++r) {
     Stopwatch sw;
     for (size_t i = 0; i < iters; ++i) fn();
-    best = std::min(best, sw.ElapsedSeconds() / static_cast<double>(iters));
+    per_call.push_back(sw.ElapsedSeconds() / static_cast<double>(iters));
   }
-  return best;
+  return per_call;
+}
+
+/// Best-of-`reps` seconds-per-call (see TimeReps).
+template <typename Fn>
+double TimeBest(const Options& opt, Fn&& fn, double min_secs = 0.15,
+                int reps = 3) {
+  const std::vector<double> t = TimeReps(opt, fn, min_secs, reps);
+  return *std::min_element(t.begin(), t.end());
+}
+
+/// Linear-interpolated quantile of an ascending sample.
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
 struct MatmulCase {
@@ -272,6 +293,110 @@ EvalRow RunEvalCase(const Options& opt) {
   return row;
 }
 
+struct QGemmRow {
+  QuantType type;
+  size_t m = 0, n = 0, k = 0;
+  int reps = 0;
+  double median_us = 0.0;
+  double iqr_us = 0.0;
+  double gbps = 0.0;  // B (item codes + scales) bytes streamed per second
+  bool bit_identical = false;
+};
+
+/// S = A · Bᵀ on the dispatched tier (`ref` = false) or the scalar
+/// reference, A the member rows and B the item table at one precision.
+void RunQGemm(const QuantizedMatrix& a, const QuantizedMatrix& b, bool ref,
+              double* c) {
+  const size_t m = a.rows, n = b.rows, k = a.cols;
+  switch (a.type) {
+    case QuantType::kInt8: {
+      const auto* pa = reinterpret_cast<const int8_t*>(a.data.data());
+      const auto* pb = reinterpret_cast<const int8_t*>(b.data.data());
+      (ref ? kernels::QGemmInt8Ref : kernels::QGemmInt8)(
+          m, n, k, a.block, pa, a.scales.data(), pb, b.scales.data(), c, n);
+      return;
+    }
+    case QuantType::kFp16: {
+      const auto* pa = reinterpret_cast<const uint16_t*>(a.data.data());
+      const auto* pb = reinterpret_cast<const uint16_t*>(b.data.data());
+      (ref ? kernels::QGemmFp16Ref : kernels::QGemmFp16)(m, n, k, pa, pb, c,
+                                                         n);
+      return;
+    }
+    case QuantType::kFp32: {
+      const auto* pa = reinterpret_cast<const float*>(a.data.data());
+      const auto* pb = reinterpret_cast<const float*>(b.data.data());
+      (ref ? kernels::QGemmFp32Ref : kernels::QGemmFp32)(m, n, k, pa, pb, c,
+                                                         n);
+      return;
+    }
+    case QuantType::kFp64:
+      break;
+  }
+  std::abort();
+}
+
+/// The serving sp-logit GEMM (DESIGN.md §10-11): m member rows against a
+/// 512-item scan tile and against a whole 100K-item table, k = 64, at
+/// each quantized precision. Median and IQR over 9 reps.
+std::vector<QGemmRow> RunQGemmCases(const Options& opt) {
+  const size_t k = 64;
+  const std::vector<size_t> ms =
+      opt.smoke ? std::vector<size_t>{5} : std::vector<size_t>{5, 40, 160};
+  const std::vector<size_t> ns =
+      opt.smoke ? std::vector<size_t>{64} : std::vector<size_t>{512, 100000};
+  const std::vector<QuantType> types =
+      opt.smoke ? std::vector<QuantType>{QuantType::kFp16}
+                : std::vector<QuantType>{QuantType::kInt8, QuantType::kFp16,
+                                         QuantType::kFp32};
+  const int reps = 9;
+  std::vector<QGemmRow> rows;
+  Rng rng(11);
+  const Tensor members = RandomTensor(ms.back(), k, &rng);
+  for (const size_t n : ns) {
+    const Tensor items = RandomTensor(n, k, &rng);
+    for (const QuantType type : types) {
+      const QuantizedMatrix b = QuantizeMatrix(items, type);
+      for (const size_t m : ms) {
+        Tensor rows_m(m, k);
+        std::copy(members.data(), members.data() + m * k, rows_m.data());
+        const QuantizedMatrix a = QuantizeMatrix(rows_m, type);
+        std::vector<double> got(m * n), want(m * n);
+        RunQGemm(a, b, /*ref=*/false, got.data());
+        RunQGemm(a, b, /*ref=*/true, want.data());
+        QGemmRow row;
+        row.type = type;
+        row.m = m;
+        row.n = n;
+        row.k = k;
+        row.bit_identical = std::memcmp(got.data(), want.data(),
+                                        got.size() * sizeof(double)) == 0;
+        std::vector<double> t = TimeReps(
+            opt,
+            [&] {
+              RunQGemm(a, b, /*ref=*/false, got.data());
+              asm volatile("" : : "g"(got.data()) : "memory");
+            },
+            /*min_secs=*/0.05, reps);
+        std::sort(t.begin(), t.end());
+        row.reps = static_cast<int>(t.size());
+        row.median_us = 1e6 * Quantile(t, 0.5);
+        row.iqr_us = 1e6 * (Quantile(t, 0.75) - Quantile(t, 0.25));
+        row.gbps = static_cast<double>(b.PayloadBytes()) /
+                   (row.median_us * 1e3);
+        std::cout << "qgemm " << QuantTypeName(type) << " m=" << m
+                  << " n=" << n << " k=" << k << ": median " << row.median_us
+                  << " us (IQR " << row.iqr_us << "), " << row.gbps
+                  << " GB/s of B, ISA level " << kernels::QuantIsaLevel()
+                  << ", bit_identical "
+                  << (row.bit_identical ? "true" : "false") << "\n";
+        rows.push_back(row);
+      }
+    }
+  }
+  return rows;
+}
+
 /// The obs-overhead gate: the PR-1 acceptance GEMM shape (512x64x64
 /// "propagation batch" matmul) timed with longer reps than the sweep so
 /// the enabled-vs-disabled delta is measurable above run-to-run noise.
@@ -319,7 +444,7 @@ int RunAcceptance(const Options& opt) {
 }
 
 std::string Json(const Options& opt, const std::vector<MatmulRow>& rows,
-                 const EvalRow& eval) {
+                 const EvalRow& eval, const std::vector<QGemmRow>& qrows) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"bench\": \"bench_kernels\",\n";
@@ -346,7 +471,19 @@ std::string Json(const Options& opt, const std::vector<MatmulRow>& rows,
      << ", \"serial_ms\": " << eval.serial_ms
      << ", \"parallel_ms\": " << eval.parallel_ms
      << ", \"speedup\": " << eval.speedup << ", \"bit_identical\": "
-     << (eval.bit_identical ? "true" : "false") << "}\n";
+     << (eval.bit_identical ? "true" : "false") << "},\n";
+  os << "  \"qgemm\": [\n";
+  for (size_t i = 0; i < qrows.size(); ++i) {
+    const QGemmRow& r = qrows[i];
+    os << "    {\"type\": \"" << QuantTypeName(r.type) << "\", \"m\": " << r.m
+       << ", \"n\": " << r.n << ", \"k\": " << r.k
+       << ", \"reps\": " << r.reps << ", \"median_us\": " << r.median_us
+       << ", \"iqr_us\": " << r.iqr_us << ", \"gbps\": " << r.gbps
+       << ", \"quant_isa_level\": " << kernels::QuantIsaLevel()
+       << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false")
+       << "}" << (i + 1 < qrows.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n";
   os << "}\n";
   return os.str();
 }
@@ -401,16 +538,18 @@ int Main(int argc, char** argv) {
 
   const std::vector<MatmulRow> rows = RunMatmulCases(opt);
   const EvalRow eval = RunEvalCase(opt);
+  const std::vector<QGemmRow> qrows = RunQGemmCases(opt);
 
   bool ok = eval.bit_identical;
   for (const MatmulRow& r : rows) ok = ok && r.close;
+  for (const QGemmRow& r : qrows) ok = ok && r.bit_identical;
 
   std::ofstream out(opt.out);
   if (!out) {
     std::cerr << "cannot write " << opt.out << "\n";
     return 1;
   }
-  out << Json(opt, rows, eval);
+  out << Json(opt, rows, eval, qrows);
   std::cout << "wrote " << opt.out << "\n";
   FlushObsArtifacts();
   return ok ? 0 : 1;

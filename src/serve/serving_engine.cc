@@ -77,8 +77,8 @@ Status ServingEngine::SwapModel(std::shared_ptr<const FrozenModel> next,
   if (next == nullptr) {
     return Status::InvalidArgument("SwapModel: null model");
   }
-  const Clock::time_point start = Clock::now();
-  uint64_t epoch = 0;
+  [[maybe_unused]] const Clock::time_point start = Clock::now();
+  [[maybe_unused]] uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(model_mu_);
     slot_.model = std::move(next);
@@ -137,7 +137,7 @@ void ServingEngine::SetBatchHookForTest(BatchHook hook) {
 
 Result<std::shared_ptr<const GroupRep>> ServingEngine::GetRep(
     const ModelSlot& slot, std::span<const UserId> members, bool* cache_hit,
-    uint64_t req_id) {
+    [[maybe_unused]] uint64_t req_id) {
   KGAG_TRACE_SPAN_REQ("serve.rep_build", req_id);
   *cache_hit = false;
   if (members.empty()) {

@@ -10,34 +10,8 @@
 
 #include "obs/obs.h"
 #include "tensor/kernels.h"
+#include "tensor/kernels_quant_tiers.h"
 #include "tensor/quant.h"
-
-#ifdef KGAG_HAVE_ARCH_KERNELS
-namespace kgag {
-namespace kernels {
-void QGemmInt8Avx2(size_t m, size_t n, size_t k, uint32_t block,
-                   const int8_t* a, const float* a_scales, const int8_t* b,
-                   const float* b_scales, double* c, size_t ldc);
-void QGemmFp16Avx2(size_t m, size_t n, size_t k, const uint16_t* a,
-                   const uint16_t* b, double* c, size_t ldc);
-void QGemmFp32Avx2(size_t m, size_t n, size_t k, const float* a,
-                   const float* b, double* c, size_t ldc);
-void QGemmInt8Avx512(size_t m, size_t n, size_t k, uint32_t block,
-                     const int8_t* a, const float* a_scales, const int8_t* b,
-                     const float* b_scales, double* c, size_t ldc);
-void QGemmFp16Avx512(size_t m, size_t n, size_t k, const uint16_t* a,
-                     const uint16_t* b, double* c, size_t ldc);
-void QGemmFp32Avx512(size_t m, size_t n, size_t k, const float* a,
-                     const float* b, double* c, size_t ldc);
-void SoftmaxScoreReduceAvx2(size_t l, size_t n, bool use_sp,
-                            const double* sp, size_t ld, const double* pi,
-                            double* out);
-void SoftmaxScoreReduceAvx512(size_t l, size_t n, bool use_sp,
-                              const double* sp, size_t ld, const double* pi,
-                              double* out);
-}  // namespace kernels
-}  // namespace kgag
-#endif
 
 namespace kgag {
 namespace kernels {

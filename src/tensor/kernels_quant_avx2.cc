@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "tensor/kernels.h"
+#include "tensor/kernels_quant_tiers.h"
 #include "tensor/quant.h"
 
 namespace kgag {

@@ -1,26 +1,53 @@
 // AVX-512 tier of the quantized scoring kernels. Compiled with
 // -mavx512f -mavx512bw -mavx512vl -mavx512dq -mfma -mf16c and only called
 // after __builtin_cpu_supports("avx512f") && ("avx512bw") in
-// kernels_quant.cc. Bit-identity with the scalar reference holds by the
-// same argument as the AVX2 tier (see kernels_quant_avx2.cc): exact int32
-// accumulation for int8, and for the convert-on-load paths a single
-// 8-wide fused accumulator whose lanes coincide with the scalar stride-8
-// discipline, reduced through the shared ReduceLanes8 tree.
+// kernels_quant.cc. Bit-identity with the scalar reference:
+//   - int8: int32 accumulation is exact, so any summation order gives the
+//     same integer; the double epilogue matches the reference verbatim.
+//   - fp16/fp32: one register-blocked microkernel (SpBlock) computes 3
+//     member rows x 8 items per pass. Each of its 24 accumulators is ONE
+//     dot held exactly as qgemm_lanes.inc prescribes: lane j sums
+//     elements p = j (mod 8), fused, in p order; the k mod 8 tail is one
+//     masked FMA into lanes 0..t-1 (FmaTail); a row's 8 dots are reduced
+//     together by a shuffle/unpack transpose whose adds are ReduceLanes8's
+//     tree. Blocking only interleaves independent dots, so no dot's
+//     operation sequence changes (DESIGN.md §11).
+//
+// Intrinsics: GCC 12 implements the unmasked forms of shuffle, unpack,
+// extract, convert, shift and min/max with an _mm512_undefined_*() merge
+// source that -Wmaybe-uninitialized flags once inlined. This file uses
+// the maskz forms under a full mask instead; GCC folds those to the same
+// unmasked instructions.
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tensor/kernels.h"
+#include "tensor/kernels_quant_tiers.h"
 #include "tensor/quant.h"
 
 namespace kgag {
 namespace kernels {
 namespace {
 
-#include "tensor/qgemm_lanes.inc"
+/// Sum of the 8 int32 lanes of a 256-bit vector (exact in any order).
+inline int32_t FoldInt32x8(__m256i v) {
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
+                            _mm256_extracti128_si256(v, 1));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
+  return _mm_cvtsi128_si32(s);
+}
+
+/// The two 256-bit halves of a 512-bit int vector, added lane-wise.
+inline __m256i FoldInt32x16(__m512i v) {
+  return _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xF, v, 0),
+                          _mm512_maskz_extracti64x4_epi64(0xF, v, 1));
+}
 
 /// int32 dot, 32 codes per iteration: widen to int16 in a 512-bit lane,
 /// multiply-add pairs into 16 int32 accumulators (exact).
@@ -34,38 +61,19 @@ inline int32_t DotInt8(size_t len, const int8_t* x, const int8_t* y) {
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + p)));
     acc = _mm512_add_epi32(acc, _mm512_madd_epi16(xv, yv));
   }
-  int32_t sum = _mm512_reduce_add_epi32(acc);
+  int32_t sum = FoldInt32x8(FoldInt32x16(acc));
   for (; p < len; ++p) {
     sum += static_cast<int32_t>(x[p]) * static_cast<int32_t>(y[p]);
   }
   return sum;
 }
 
-/// One 8-wide accumulator: lane j holds elements p ≡ j (mod 8), exactly
-/// the scalar discipline. The reduction extracts the 256-bit halves
-/// (lanes 0-3 and 4-7), adds them — the scalar tree's l[j] += l[j+4] —
-/// then finishes through the shared scalar code.
-inline double DotLanes8(size_t k, const double* x, const double* y) {
-  __m512d acc = _mm512_setzero_pd();
-  size_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    acc = _mm512_fmadd_pd(_mm512_loadu_pd(x + p), _mm512_loadu_pd(y + p),
-                          acc);
-  }
-  alignas(64) double l[8];
-  _mm512_store_pd(l, acc);
-  FmaTail(p, k, x, y, l);
-  return ReduceLanes8(l);
-}
-
 inline void ConvertHalfRow(const uint16_t* in, size_t k, double* out) {
   size_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m512 f = _mm512_cvtph_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + p)));
-    _mm512_storeu_pd(out + p, _mm512_cvtps_pd(_mm512_castps512_ps256(f)));
-    _mm512_storeu_pd(out + p + 8,
-                     _mm512_cvtps_pd(_mm512_extractf32x8_ps(f, 1)));
+  for (; p + 8 <= k; p += 8) {
+    const __m256 f = _mm256_cvtph_ps(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + p)));
+    _mm512_storeu_pd(out + p, _mm512_maskz_cvtps_pd(0xFF, f));
   }
   for (; p < k; ++p) out[p] = static_cast<double>(HalfToFloat(in[p]));
 }
@@ -73,9 +81,81 @@ inline void ConvertHalfRow(const uint16_t* in, size_t k, double* out) {
 inline void ConvertFloatRow(const float* in, size_t k, double* out) {
   size_t p = 0;
   for (; p + 8 <= k; p += 8) {
-    _mm512_storeu_pd(out + p, _mm512_cvtps_pd(_mm256_loadu_ps(in + p)));
+    _mm512_storeu_pd(out + p,
+                     _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(in + p)));
   }
   for (; p < k; ++p) out[p] = static_cast<double>(in[p]);
+}
+
+/// Reduces 8 dots' lane vectors to one vector holding the 8 dots, each
+/// through ReduceLanes8's tree ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+inline __m512d ReduceDots8(const __m512d d[8]) {
+  // t = l[0..3] + l[4..7] for two dots side by side: [t(x), t(y)].
+  const auto halves = [](__m512d x, __m512d y) {
+    return _mm512_add_pd(_mm512_maskz_shuffle_f64x2(0xFF, x, y, 0x44),
+                         _mm512_maskz_shuffle_f64x2(0xFF, x, y, 0xEE));
+  };
+  // (t0+t2, t1+t3) = (even, odd) for four dots, one per 128-bit lane.
+  const auto pairs = [](__m512d x, __m512d y) {
+    return _mm512_add_pd(_mm512_maskz_shuffle_f64x2(0xFF, x, y, 0x88),
+                         _mm512_maskz_shuffle_f64x2(0xFF, x, y, 0xDD));
+  };
+  const __m512d ev = pairs(halves(d[0], d[2]), halves(d[4], d[6]));
+  const __m512d od = pairs(halves(d[1], d[3]), halves(d[5], d[7]));
+  // ev = [e0 o0 e2 o2 ..], od = [e1 o1 e3 o3 ..]: unpack puts dot j's
+  // even and odd halves in slot j of two vectors, then even + odd.
+  return _mm512_add_pd(_mm512_maskz_unpacklo_pd(0xFF, ev, od),
+                       _mm512_maskz_unpackhi_pd(0xFF, ev, od));
+}
+
+/// Calls f(integral_constant<int, I>) for I in 0..N-1, so array indices
+/// inside f are compile-time constants and the accumulators stay in
+/// registers.
+template <int N, typename F>
+inline void Unroll(F&& f) {
+  [&]<int... I>(std::integer_sequence<int, I...>) {
+    (f(std::integral_constant<int, I>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
+
+/// C[r][j] = dot(A row r, B row j) for R rows x 8 items, every dot kept
+/// in its own accumulator across k. A rows and the 8 B rows are widened
+/// doubles with stride k; only the first `nj` results are stored.
+template <int R>
+inline void SpBlock(size_t k, const double* a, const double* b, size_t nj,
+                    double* c, size_t ldc) {
+  __m512d acc[R][8];
+  Unroll<R>([&](auto r) {
+    Unroll<8>([&](auto j) { acc[r][j] = _mm512_setzero_pd(); });
+  });
+  size_t p = 0;
+  for (; p + 8 <= k; p += 8) {
+    __m512d av[R];
+    Unroll<R>([&](auto r) { av[r] = _mm512_loadu_pd(a + r * k + p); });
+    Unroll<8>([&](auto j) {
+      const __m512d bv = _mm512_loadu_pd(b + j * k + p);
+      Unroll<R>([&](auto r) {
+        acc[r][j] = _mm512_fmadd_pd(av[r], bv, acc[r][j]);
+      });
+    });
+  }
+  if (p < k) {  // FmaTail: lanes 0..t-1 fused, lanes t..7 keep their value
+    const __mmask8 t = static_cast<__mmask8>((1u << (k - p)) - 1);
+    __m512d av[R];
+    Unroll<R>([&](auto r) {
+      av[r] = _mm512_maskz_loadu_pd(t, a + r * k + p);
+    });
+    Unroll<8>([&](auto j) {
+      const __m512d bv = _mm512_maskz_loadu_pd(t, b + j * k + p);
+      Unroll<R>([&](auto r) {
+        acc[r][j] = _mm512_mask3_fmadd_pd(av[r], bv, acc[r][j], t);
+      });
+    });
+  }
+  const __mmask8 store = static_cast<__mmask8>((1u << nj) - 1);
+  Unroll<R>([&](auto r) {
+    _mm512_mask_storeu_pd(c + r * ldc, store, ReduceDots8(acc[r]));
+  });
 }
 
 /// 8-lane FastExp: the scalar DAG from kernels.h replicated per lane
@@ -85,8 +165,8 @@ inline void ConvertFloatRow(const float* in, size_t k, double* out) {
 /// the mantissa field IS the integer n + const, so the int64 difference
 /// equals the scalar static_cast<int64_t>(n) exactly.
 inline __m512d FastExp8(__m512d x) {
-  x = _mm512_max_pd(x, _mm512_set1_pd(-708.0));
-  x = _mm512_min_pd(x, _mm512_set1_pd(709.0));
+  x = _mm512_maskz_max_pd(0xFF, x, _mm512_set1_pd(-708.0));
+  x = _mm512_maskz_min_pd(0xFF, x, _mm512_set1_pd(709.0));
   const __m512d shifter = _mm512_set1_pd(6755399441055744.0);  // 1.5*2^52
   const __m512d shifted = _mm512_add_pd(
       _mm512_mul_pd(x, _mm512_set1_pd(1.4426950408889634074)), shifter);
@@ -105,21 +185,35 @@ inline __m512d FastExp8(__m512d x) {
   }
   const __m512i nbits = _mm512_sub_epi64(_mm512_castpd_si512(shifted),
                                          _mm512_castpd_si512(shifter));
-  const __m512i ebits = _mm512_slli_epi64(
-      _mm512_add_epi64(nbits, _mm512_set1_epi64(1023)), 52);
+  const __m512i ebits = _mm512_maskz_slli_epi64(
+      0xFF, _mm512_add_epi64(nbits, _mm512_set1_epi64(1023)), 52);
   return _mm512_mul_pd(p, _mm512_castsi512_pd(ebits));
 }
 
+/// Widens A once and B 8 rows at a time, then runs SpBlock over the
+/// rows 3 at a time; the m mod 3 rows and the n mod 8 items run through
+/// the same template (R = 1 or 2, zero-padded B rows, masked stores).
 template <typename T, void (*Convert)(const T*, size_t, double*)>
 void QGemmConvert(size_t m, size_t n, size_t k, const T* a, const T* b,
                   double* c, size_t ldc) {
   std::vector<double> abuf(m * k);
-  for (size_t i = 0; i < m; ++i) Convert(a + i * k, k, &abuf[i * k]);
-  std::vector<double> brow(k);
-  for (size_t j = 0; j < n; ++j) {
-    Convert(b + j * k, k, brow.data());
-    for (size_t i = 0; i < m; ++i) {
-      c[i * ldc + j] = DotLanes8(k, &abuf[i * k], brow.data());
+  for (size_t i = 0; i < m; ++i) Convert(a + i * k, k, abuf.data() + i * k);
+  std::vector<double> bbuf(8 * k);
+  for (size_t j0 = 0; j0 < n; j0 += 8) {
+    const size_t nj = std::min<size_t>(8, n - j0);
+    for (size_t j = 0; j < nj; ++j) {
+      Convert(b + (j0 + j) * k, k, bbuf.data() + j * k);
+    }
+    std::fill(bbuf.begin() + nj * k, bbuf.end(), 0.0);
+    double* cj = c + j0;
+    size_t i = 0;
+    for (; i + 3 <= m; i += 3) {
+      SpBlock<3>(k, abuf.data() + i * k, bbuf.data(), nj, cj + i * ldc, ldc);
+    }
+    if (m - i == 2) {
+      SpBlock<2>(k, abuf.data() + i * k, bbuf.data(), nj, cj + i * ldc, ldc);
+    } else if (m - i == 1) {
+      SpBlock<1>(k, abuf.data() + i * k, bbuf.data(), nj, cj + i * ldc, ldc);
     }
   }
 }
@@ -179,14 +273,10 @@ void QGemmInt8RowScaleAvx512(size_t m, size_t n, size_t k, const int8_t* a,
       }
       // Fold 512 -> 256 per accumulator, then one hadd tree yields the
       // tile's 4 sums in one xmm: [acc0, acc1, acc2, acc3].
-      const __m256i f0 = _mm256_add_epi32(_mm512_castsi512_si256(acc0),
-                                          _mm512_extracti64x4_epi64(acc0, 1));
-      const __m256i f1 = _mm256_add_epi32(_mm512_castsi512_si256(acc1),
-                                          _mm512_extracti64x4_epi64(acc1, 1));
-      const __m256i f2 = _mm256_add_epi32(_mm512_castsi512_si256(acc2),
-                                          _mm512_extracti64x4_epi64(acc2, 1));
-      const __m256i f3 = _mm256_add_epi32(_mm512_castsi512_si256(acc3),
-                                          _mm512_extracti64x4_epi64(acc3, 1));
+      const __m256i f0 = FoldInt32x16(acc0);
+      const __m256i f1 = FoldInt32x16(acc1);
+      const __m256i f2 = FoldInt32x16(acc2);
+      const __m256i f3 = FoldInt32x16(acc3);
       const __m256i h01 = _mm256_hadd_epi32(f0, f1);
       const __m256i h23 = _mm256_hadd_epi32(f2, f3);
       const __m256i h = _mm256_hadd_epi32(h01, h23);
@@ -268,7 +358,7 @@ void SoftmaxScoreReduceAvx512(size_t l, size_t n, bool use_sp,
           use_sp ? _mm512_loadu_pd(sp + i * ld + p) : _mm512_setzero_pd();
       const __m512d a = _mm512_add_pd(s, _mm512_set1_pd(pi[i]));
       _mm512_storeu_pd(ab + i * 8, a);
-      mx = i == 0 ? a : _mm512_max_pd(mx, a);
+      mx = i == 0 ? a : _mm512_maskz_max_pd(0xFF, mx, a);
     }
     __m512d sum = _mm512_setzero_pd();
     for (size_t i = 0; i < l; ++i) {

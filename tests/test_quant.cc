@@ -1,16 +1,19 @@
 // Quantized storage and kernel tests (DESIGN.md §11): half conversions,
 // quantization error bounds, and — load-bearing
 // for the serving bit-identity guarantee — property tests that the
-// dispatched QGemm*/SoftmaxScoreReduce tiers match their scalar
-// references EXACTLY on this machine's selected ISA tier.
+// dispatched QGemm*/SoftmaxScoreReduce kernels, and every ISA tier this
+// machine can run, match their scalar references EXACTLY.
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "tensor/kernels.h"
+#include "tensor/kernels_quant_tiers.h"
 #include "tensor/quant.h"
 
 namespace kgag {
@@ -146,9 +149,49 @@ TEST(FastExp, ExactAtZeroAndCloseToLibmEverywhere) {
 
 // --- dispatch-vs-reference exactness (the bit-identity contract) -------
 
+/// One set of quantized kernels: "dispatched" is what the public entry
+/// points pick on this host; the named ISA tiers are every tier the host
+/// can run, called directly, so a tier the dispatcher skips (AVX2 on an
+/// AVX-512 host) is still compared with the scalar reference.
+struct Tier {
+  std::string name;
+  void (*int8)(size_t, size_t, size_t, uint32_t, const int8_t*,
+               const float*, const int8_t*, const float*, double*, size_t);
+  void (*fp16)(size_t, size_t, size_t, const uint16_t*, const uint16_t*,
+               double*, size_t);
+  void (*fp32)(size_t, size_t, size_t, const float*, const float*, double*,
+               size_t);
+  void (*softmax)(size_t, size_t, bool, const double*, size_t,
+                  const double*, double*);
+};
+
+std::vector<Tier> HostTiers() {
+  std::vector<Tier> tiers = {
+      {"dispatched (ISA level " + std::to_string(kernels::QuantIsaLevel()) +
+           ")",
+       &kernels::QGemmInt8, &kernels::QGemmFp16, &kernels::QGemmFp32,
+       &kernels::SoftmaxScoreReduce}};
+#ifdef KGAG_HAVE_ARCH_KERNELS
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+      __builtin_cpu_supports("f16c")) {
+    tiers.push_back({"avx2", &kernels::QGemmInt8Avx2, &kernels::QGemmFp16Avx2,
+                     &kernels::QGemmFp32Avx2,
+                     &kernels::SoftmaxScoreReduceAvx2});
+  }
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw")) {
+    tiers.push_back({"avx512", &kernels::QGemmInt8Avx512,
+                     &kernels::QGemmFp16Avx512, &kernels::QGemmFp32Avx512,
+                     &kernels::SoftmaxScoreReduceAvx512});
+  }
+#endif
+  return tiers;
+}
+
 struct QuantCase {
   size_t m, n, k;
   uint32_t block;
+  size_t ldc = 0;  // 0 = n
 };
 
 std::vector<QuantCase> RandomCases(Rng* rng) {
@@ -175,6 +218,62 @@ std::vector<QuantCase> RandomCases(Rng* rng) {
   return cases;
 }
 
+/// Shapes that cross the AVX-512 float microkernel's blocking (3 rows x 8
+/// items, k in strides of 8) and the int8 tiles: every m mod 3, n around
+/// 8 and around a 512-item serving tile, k around 8 and 64. Every other
+/// shape writes into a wider C (ldc > n), whose gap must stay untouched.
+std::vector<QuantCase> BlockingEdgeCases() {
+  std::vector<QuantCase> cases;
+  for (size_t m = 1; m <= 7; ++m) {
+    for (size_t n : {7, 8, 9, 511, 512, 513, 1031}) {
+      for (size_t k : {1, 7, 8, 9, 63, 64, 65, 72}) {
+        const uint32_t block = cases.size() % 3 == 2 ? 8 : 0;
+        cases.push_back({m, n, k, block, n + (cases.size() % 2) * 3});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string Describe(const Tier& tier, const QuantCase& c, size_t i) {
+  return tier.name + ": m=" + std::to_string(c.m) +
+         " n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) +
+         " block=" + std::to_string(c.block) +
+         " ldc=" + std::to_string(c.ldc) + " i=" + std::to_string(i);
+}
+
+/// Runs `tier_fn` for every host tier into a C pre-filled with the same
+/// sentinel as the reference's, and requires the whole m x ldc buffer to
+/// match bit for bit (gap columns included).
+template <typename RefFn, typename TierFn>
+void ExpectTiersMatch(QuantCase c, RefFn&& ref_fn, TierFn&& tier_fn) {
+  if (c.ldc == 0) c.ldc = c.n;
+  std::vector<double> want(c.m * c.ldc, -1.0);
+  ref_fn(want.data(), c.ldc);
+  for (const Tier& tier : HostTiers()) {
+    std::vector<double> got(c.m * c.ldc, -1.0);
+    tier_fn(tier, got.data(), c.ldc);
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << Describe(tier, c, i);
+    }
+  }
+}
+
+void CheckInt8(const QuantCase& c, const std::vector<int8_t>& a,
+               const std::vector<float>& as, const std::vector<int8_t>& b,
+               const std::vector<float>& bs) {
+  ExpectTiersMatch(
+      c,
+      [&](double* out, size_t ldc) {
+        kernels::QGemmInt8Ref(c.m, c.n, c.k, c.block, a.data(), as.data(),
+                              b.data(), bs.data(), out, ldc);
+      },
+      [&](const Tier& t, double* out, size_t ldc) {
+        t.int8(c.m, c.n, c.k, c.block, a.data(), as.data(), b.data(),
+               bs.data(), out, ldc);
+      });
+}
+
 TEST(QGemmDispatch, Int8MatchesScalarReferenceExactly) {
   Rng rng(23);
   for (const QuantCase& c : RandomCases(&rng)) {
@@ -187,24 +286,32 @@ TEST(QGemmDispatch, Int8MatchesScalarReferenceExactly) {
     }
     const QuantizedMatrix qa = QuantizeMatrix(a, QuantType::kInt8, c.block);
     const QuantizedMatrix qb = QuantizeMatrix(b, QuantType::kInt8, c.block);
-    std::vector<double> got(c.m * c.n, -1), want(c.m * c.n, -2);
-    kernels::QGemmInt8(c.m, c.n, c.k, c.block,
-                       reinterpret_cast<const int8_t*>(qa.data.data()),
-                       qa.scales.data(),
-                       reinterpret_cast<const int8_t*>(qb.data.data()),
-                       qb.scales.data(), got.data(), c.n);
-    kernels::QGemmInt8Ref(c.m, c.n, c.k, c.block,
-                          reinterpret_cast<const int8_t*>(qa.data.data()),
-                          qa.scales.data(),
-                          reinterpret_cast<const int8_t*>(qb.data.data()),
-                          qb.scales.data(), want.data(), c.n);
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], want[i])
-          << "m=" << c.m << " n=" << c.n << " k=" << c.k
-          << " block=" << c.block << " i=" << i
-          << " (ISA level " << kernels::QuantIsaLevel() << ")";
-    }
+    const auto* pa = reinterpret_cast<const int8_t*>(qa.data.data());
+    const auto* pb = reinterpret_cast<const int8_t*>(qb.data.data());
+    CheckInt8(c, {pa, pa + c.m * c.k}, qa.scales,
+              {pb, pb + c.n * c.k}, qb.scales);
   }
+}
+
+template <typename Code>
+void CheckFloat(const QuantCase& c, const std::vector<Code>& a,
+                const std::vector<Code>& b) {
+  ExpectTiersMatch(
+      c,
+      [&](double* out, size_t ldc) {
+        if constexpr (std::is_same_v<Code, uint16_t>) {
+          kernels::QGemmFp16Ref(c.m, c.n, c.k, a.data(), b.data(), out, ldc);
+        } else {
+          kernels::QGemmFp32Ref(c.m, c.n, c.k, a.data(), b.data(), out, ldc);
+        }
+      },
+      [&](const Tier& t, double* out, size_t ldc) {
+        if constexpr (std::is_same_v<Code, uint16_t>) {
+          t.fp16(c.m, c.n, c.k, a.data(), b.data(), out, ldc);
+        } else {
+          t.fp32(c.m, c.n, c.k, a.data(), b.data(), out, ldc);
+        }
+      });
 }
 
 template <typename Code, QuantType kType>
@@ -218,21 +325,9 @@ void FloatDispatchCase(Rng* rng, const QuantCase& c) {
   }
   const QuantizedMatrix qa = QuantizeMatrix(a, kType);
   const QuantizedMatrix qb = QuantizeMatrix(b, kType);
-  std::vector<double> got(c.m * c.n, -1), want(c.m * c.n, -2);
   const Code* pa = reinterpret_cast<const Code*>(qa.data.data());
   const Code* pb = reinterpret_cast<const Code*>(qb.data.data());
-  if constexpr (kType == QuantType::kFp16) {
-    kernels::QGemmFp16(c.m, c.n, c.k, pa, pb, got.data(), c.n);
-    kernels::QGemmFp16Ref(c.m, c.n, c.k, pa, pb, want.data(), c.n);
-  } else {
-    kernels::QGemmFp32(c.m, c.n, c.k, pa, pb, got.data(), c.n);
-    kernels::QGemmFp32Ref(c.m, c.n, c.k, pa, pb, want.data(), c.n);
-  }
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], want[i])
-        << "m=" << c.m << " n=" << c.n << " k=" << c.k << " i=" << i
-        << " (ISA level " << kernels::QuantIsaLevel() << ")";
-  }
+  CheckFloat<Code>(c, {pa, pa + c.m * c.k}, {pb, pb + c.n * c.k});
 }
 
 TEST(QGemmDispatch, Fp16MatchesScalarReferenceExactly) {
@@ -249,6 +344,67 @@ TEST(QGemmDispatch, Fp32MatchesScalarReferenceExactly) {
   }
 }
 
+/// A half code: 1 in 8 a signed zero, 1 in 8 a signed subnormal, the rest
+/// normal values of magnitude 2^-5 .. 2^2 (never Inf or NaN).
+uint16_t EdgeHalf(Rng* rng) {
+  const auto sign = static_cast<uint16_t>(rng->UniformInt(0, 1) << 15);
+  const int64_t kind = rng->UniformInt(0, 7);
+  if (kind == 0) return sign;
+  const auto mant = static_cast<uint16_t>(rng->UniformInt(1, 1023));
+  if (kind == 1) return sign | mant;
+  const auto exp = static_cast<uint16_t>(rng->UniformInt(10, 17) << 10);
+  return sign | exp | mant;
+}
+
+/// A float: 1 in 8 a signed zero, 1 in 8 a signed subnormal, the rest
+/// uniform in [-1, 1).
+float EdgeFloat(Rng* rng) {
+  const uint32_t sign = static_cast<uint32_t>(rng->UniformInt(0, 1)) << 31;
+  const int64_t kind = rng->UniformInt(0, 7);
+  if (kind >= 2) return static_cast<float>(rng->Uniform(-1.0, 1.0));
+  const uint32_t bits =
+      sign | (kind == 0 ? 0u
+                        : static_cast<uint32_t>(
+                              rng->UniformInt(1, (int64_t{1} << 23) - 1)));
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+TEST(QGemmDispatch, Fp16BlockingEdgesEveryTier) {
+  Rng rng(41);
+  for (const QuantCase& c : BlockingEdgeCases()) {
+    std::vector<uint16_t> a(c.m * c.k), b(c.n * c.k);
+    for (uint16_t& v : a) v = EdgeHalf(&rng);
+    for (uint16_t& v : b) v = EdgeHalf(&rng);
+    CheckFloat<uint16_t>(c, a, b);
+  }
+}
+
+TEST(QGemmDispatch, Fp32BlockingEdgesEveryTier) {
+  Rng rng(43);
+  for (const QuantCase& c : BlockingEdgeCases()) {
+    std::vector<float> a(c.m * c.k), b(c.n * c.k);
+    for (float& v : a) v = EdgeFloat(&rng);
+    for (float& v : b) v = EdgeFloat(&rng);
+    CheckFloat<float>(c, a, b);
+  }
+}
+
+TEST(QGemmDispatch, Int8BlockingEdgesEveryTier) {
+  Rng rng(47);
+  for (const QuantCase& c : BlockingEdgeCases()) {
+    const size_t spr = c.block == 0 ? 1 : (c.k + c.block - 1) / c.block;
+    std::vector<int8_t> a(c.m * c.k), b(c.n * c.k);
+    std::vector<float> as(c.m * spr), bs(c.n * spr);
+    for (int8_t& v : a) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    for (int8_t& v : b) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    for (float& v : as) v = static_cast<float>(rng.Uniform(0.0, 0.01));
+    for (float& v : bs) v = static_cast<float>(rng.Uniform(0.0, 0.01));
+    CheckInt8(c, a, as, b, bs);
+  }
+}
+
 TEST(SoftmaxReduceDispatch, MatchesScalarReferenceExactly) {
   Rng rng(37);
   for (int t = 0; t < 40; ++t) {
@@ -259,15 +415,17 @@ TEST(SoftmaxReduceDispatch, MatchesScalarReferenceExactly) {
     std::vector<double> sp(l * ld), pi(l);
     for (double& v : sp) v = rng.Uniform(-8.0, 8.0);
     for (double& v : pi) v = rng.Uniform(-4.0, 4.0);
-    std::vector<double> got(n, -1), want(n, -2);
-    kernels::SoftmaxScoreReduce(l, n, use_sp, sp.data(), ld, pi.data(),
-                                got.data());
+    std::vector<double> want(n, -2);
     kernels::SoftmaxScoreReduceRef(l, n, use_sp, sp.data(), ld, pi.data(),
                                    want.data());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(got[i], want[i])
-          << "l=" << l << " n=" << n << " use_sp=" << use_sp << " i=" << i
-          << " (ISA level " << kernels::QuantIsaLevel() << ")";
+    for (const Tier& tier : HostTiers()) {
+      std::vector<double> got(n, -1);
+      tier.softmax(l, n, use_sp, sp.data(), ld, pi.data(), got.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << tier.name << ": l=" << l << " n=" << n << " use_sp=" << use_sp
+            << " i=" << i;
+      }
     }
   }
 }
